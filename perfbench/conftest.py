@@ -1,0 +1,11 @@
+"""Make the checkout's modlab and the benchmark modules importable in tests:
+    python3 -m pytest perfbench
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
