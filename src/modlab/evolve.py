@@ -16,11 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _fft
 from .errors import (
     GridMismatch,
     NonFiniteAmplitude,
     OffLatticeL,
     PhaseWrapWarning,
+    ZeroState,
 )
 from .grid import Grid, MomentumAmplitudes, WaveFunction, to_momentum
 
@@ -119,16 +121,32 @@ def propagate(
     _check_phase_wrap(g, cfg)
     half_v = np.exp(-0.5j * V.values(g) * cfg.dt / g.hbar)
     kinetic = np.exp(-0.5j * g.p_raw**2 * cfg.dt / (cfg.mass * g.hbar))
-    amps = psi.amps.copy()
-    snapshots = [WaveFunction(g, amps.copy())]
+    snapshots = _strang(psi.amps, half_v, kinetic, cfg.steps, snapshot_every)
+    return [WaveFunction(g, amps) for amps in snapshots]
+
+
+def _strang(
+    amps: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray, steps: int, every: int
+) -> list[np.ndarray]:
+    """The Strang stepper shared by one- and two-particle evolution.
+
+    Each step multiplies by half_v, transforms over all axes of amps,
+    multiplies by kinetic (in FFT order), transforms back and multiplies by
+    half_v again. Returns copies of the amplitudes at steps 0, every, ...,
+    steps, each checked for non-finite values.
+    """
+    amps = amps.copy()  # private buffer, transformed in place
     _check_finite(amps)
-    for step in range(1, cfg.steps + 1):
+    snapshots = [amps.copy()]
+    for step in range(1, steps + 1):
         amps *= half_v
-        amps = np.fft.ifft(kinetic * np.fft.fft(amps))
+        amps = _fft.fft(amps, overwrite=True)
+        amps *= kinetic
+        amps = _fft.ifft(amps, overwrite=True)
         amps *= half_v
-        if step % snapshot_every == 0:
+        if step % every == 0:
             _check_finite(amps)
-            snapshots.append(WaveFunction(g, amps.copy()))
+            snapshots.append(amps.copy())
     return snapshots
 
 
@@ -161,7 +179,10 @@ class TwoParticleState:
         return math.sqrt(float(np.sum(np.abs(self.amps) ** 2)) * self.grid.dx**2)
 
     def normalized(self) -> "TwoParticleState":
-        return TwoParticleState(self.grid, self.amps / self.norm())
+        n = self.norm()
+        if n == 0.0:
+            raise ZeroState("cannot normalize the zero state")
+        return TwoParticleState(self.grid, self.amps / n)
 
 
 def product_state(psi1: WaveFunction, psi2: WaveFunction) -> TwoParticleState:
@@ -204,17 +225,8 @@ def propagate_two(
     half_v = np.exp(-0.5j * _difference_potential(g, v12) * cfg.dt / g.hbar)
     p2 = g.p_raw**2
     kinetic = np.exp(-0.5j * (p2[:, None] + p2[None, :]) * cfg.dt / (cfg.mass * g.hbar))
-    amps = state.amps.copy()
-    snapshots = [TwoParticleState(g, amps.copy())]
-    _check_finite(amps)
-    for step in range(1, cfg.steps + 1):
-        amps *= half_v
-        amps = np.fft.ifft2(kinetic * np.fft.fft2(amps))
-        amps *= half_v
-        if step % snapshot_every == 0:
-            _check_finite(amps)
-            snapshots.append(TwoParticleState(g, amps.copy()))
-    return snapshots
+    snapshots = _strang(state.amps, half_v, kinetic, cfg.steps, snapshot_every)
+    return [TwoParticleState(g, amps) for amps in snapshots]
 
 
 def translation_expect_two(
@@ -222,7 +234,7 @@ def translation_expect_two(
 ) -> complex:
     """<exp(i (k1 p1 + k2 p2) L / hbar)> from the joint momentum density."""
     g = state.grid
-    spectrum = np.fft.fft2(state.amps)
+    spectrum = _fft.fft(state.amps)
     weights = np.abs(spectrum) ** 2
     ph1 = np.exp(1j * g.p_raw * k1 * L / g.hbar)
     ph2 = np.exp(1j * g.p_raw * k2 * L / g.hbar)

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _fft
 from .errors import GridMismatch, NonPositiveDomain, NonPowerOfTwo
 
 
@@ -120,7 +121,7 @@ class MomentumAmplitudes:
 
 def to_momentum(psi: WaveFunction) -> MomentumAmplitudes:
     g = psi.grid
-    raw = np.fft.fft(psi.amps)
+    raw = _fft.fft(psi.amps)
     phase = np.exp(-1j * g.p * g.x0 / g.hbar)
     amps = np.fft.fftshift(raw) * phase * (g.dx / math.sqrt(2.0 * math.pi * g.hbar))
     return MomentumAmplitudes(g, amps)
@@ -130,7 +131,7 @@ def from_momentum(mom: MomentumAmplitudes) -> WaveFunction:
     g = mom.grid
     phase = np.exp(1j * g.p * g.x0 / g.hbar)
     raw = np.fft.ifftshift(mom.amps * phase) / (g.dx / math.sqrt(2.0 * math.pi * g.hbar))
-    return WaveFunction(g, np.fft.ifft(raw))
+    return WaveFunction(g, _fft.ifft(raw))
 
 
 def inner(psi: WaveFunction, phi: WaveFunction) -> complex:
@@ -143,7 +144,7 @@ def inner(psi: WaveFunction, phi: WaveFunction) -> complex:
 def _translate_spectral(psi: WaveFunction, a: float) -> WaveFunction:
     g = psi.grid
     phase = np.exp(2j * math.pi * np.fft.fftfreq(g.n, d=g.dx) * a)
-    return WaveFunction(g, np.fft.ifft(np.fft.fft(psi.amps) * phase))
+    return WaveFunction(g, _fft.ifft(_fft.fft(psi.amps) * phase))
 
 
 def translate(psi: WaveFunction, a: float) -> WaveFunction:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _fft
 from .errors import (
     DegreeCap,
     DegreeOverflowWarning,
@@ -27,7 +28,7 @@ from .errors import (
     PeriodUnderResolved,
 )
 from .evolve import PotentialSpec
-from .grid import MomentumAmplitudes, WaveFunction, to_momentum
+from .grid import MomentumAmplitudes, WaveFunction, to_momentum, translate
 
 _CROSS_CHECK_TOL = 1e-11
 
@@ -61,32 +62,24 @@ class ModularDistribution:
         return tv_from_uniform(self.density)
 
 
-def _mod_roll(psi: WaveFunction, shift_sites: int) -> np.ndarray:
-    return np.roll(psi.amps, -shift_sites)
-
-
 def translation_expect(psi: WaveFunction, L: float, k: int = 1) -> complex:
     """<exp(i k p L / hbar)>, cross-checked between representations.
 
     Computed both as sum(conj(psi(x)) psi(x + kL)) dx and as the spectral sum
-    over the momentum density; disagreement beyond 1e-11 signals grid
-    artifacts and raises InternalInconsistency.
+    over the momentum density; disagreement beyond 1e-11 * max(1, ||psi||^2)
+    signals grid artifacts and raises InternalInconsistency.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     g = psi.grid
-    shift = k * L / g.dx
-    if abs(shift - round(shift)) < 1e-9:
-        shifted = _mod_roll(psi, int(round(shift)))
-    else:
-        phase = np.exp(2j * math.pi * np.fft.fftfreq(g.n, d=g.dx) * k * L)
-        shifted = np.fft.ifft(np.fft.fft(psi.amps) * phase)
-    pos_val = complex(np.vdot(psi.amps, shifted) * g.dx)
+    shifted = translate(psi, k * L)
+    pos_val = complex(np.vdot(psi.amps, shifted.amps) * g.dx)
 
     mom = to_momentum(psi)
     weights = mom.density() * g.dp
     mom_val = complex(np.sum(weights * np.exp(1j * g.p * k * L / g.hbar)))
-    if abs(pos_val - mom_val) > _CROSS_CHECK_TOL:
+    tol = _CROSS_CHECK_TOL * max(1.0, psi.norm() ** 2)
+    if abs(pos_val - mom_val) > tol:
         raise InternalInconsistency(
             f"overlap form {pos_val} and spectral form {mom_val} disagree by "
             f"{abs(pos_val - mom_val):.3g}"
@@ -148,7 +141,7 @@ def weyl_moment(psi: WaveFunction, spec: MomentSpec) -> float:
     p_pow = g.p_raw**spec.m_p
     acc = 0.0 + 0.0j
     for k in range(spec.n_x + 1):
-        phi = np.fft.ifft(p_pow * np.fft.fft(g.x ** (spec.n_x - k) * psi.amps))
+        phi = _fft.ifft(p_pow * _fft.fft(g.x ** (spec.n_x - k) * psi.amps))
         acc += math.comb(spec.n_x, k) * np.vdot(g.x**k * psi.amps, phi) * g.dx
     return (acc / 2.0**spec.n_x).real
 

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _fft
 from .errors import DegreeCap, DimCap, NonDifferentiableV, OffLatticeL
 from .evolve import PotentialSpec
 from .grid import Grid
@@ -151,7 +152,7 @@ def _classical_force(V: PotentialSpec, x: float, grid: Grid | None) -> float:
             raise ValueError("sampled potential needs the grid it is sampled on")
         vals = V.values(grid)
         # smooth periodic samples: spectral slope, then linear interpolation
-        slope = np.fft.ifft(1j * (grid.p_raw / grid.hbar) * np.fft.fft(vals)).real
+        slope = _fft.ifft(1j * (grid.p_raw / grid.hbar) * _fft.fft(vals)).real
         pos = (x - grid.x0) % grid.length
         return -float(np.interp(pos, grid.x - grid.x0, slope, period=grid.length))
     raise NonDifferentiableV(f"potential kind {V.kind!r} has no usable slope")

@@ -7,6 +7,7 @@ from modlab import (
     PacketSpec,
     PotentialSpec,
     PropagatorConfig,
+    TwoParticleState,
     WaveFunction,
     free_far_field,
     make_grid,
@@ -25,6 +26,7 @@ from modlab.errors import (
     NonFiniteAmplitude,
     OffLatticeL,
     PhaseWrapWarning,
+    ZeroState,
 )
 
 
@@ -154,6 +156,26 @@ def test_two_particle_free_marginals_static():
         return np.sum(spec, axis=1) / np.sum(spec)
 
     assert np.max(np.abs(marginal(snaps[-1]) - marginal(snaps[0]))) < 1e-12
+
+
+def test_two_particle_free_evolution_is_outer_product_of_1d():
+    # with no interaction the 2-D stepper must factor into two 1-D runs
+    g = make_grid(256, -32.0, 64.0)
+    a = make_packet(g, PacketSpec("gaussian", -2.0, 1.5, 1.5))
+    b = make_packet(g, PacketSpec("gaussian", 2.5, 1.2, -0.7))
+    cfg = PropagatorConfig(dt=0.01, steps=40)
+    joint = propagate_two(product_state(a, b), PotentialSpec.zero(), cfg, snapshot_every=10)
+    snaps_a = propagate(a, PotentialSpec.zero(), cfg, snapshot_every=10)
+    snaps_b = propagate(b, PotentialSpec.zero(), cfg, snapshot_every=10)
+    assert len(joint) == len(snaps_a) == 5
+    for s, sa, sb in zip(joint, snaps_a, snaps_b):
+        assert np.max(np.abs(s.amps - np.outer(sa.amps, sb.amps))) < 1e-12
+
+
+def test_two_particle_normalize_zero_state_raises():
+    g = make_grid(64, -8.0, 16.0)
+    with pytest.raises(ZeroState):
+        TwoParticleState(g, np.zeros((g.n, g.n))).normalized()
 
 
 def test_two_particle_total_momentum_conserved():

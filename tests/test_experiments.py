@@ -218,6 +218,19 @@ def test_run_two_slit_and_reproducibility(tmp_path):
     assert path.read_bytes() == first
 
 
+def test_run_two_particle_reruns_byte_identical(tmp_path):
+    for fmt in ("csv", "json"):
+        cfg = ExperimentConfig(
+            name="two-particle", params={"steps": "40", "snapshot_every": "20"},
+            seed=3, out_dir=str(tmp_path), format=fmt,
+        )
+        run(cfg)
+        path = tmp_path / f"two-particle-3.{fmt}"
+        first = path.read_bytes()
+        run(cfg)
+        assert path.read_bytes() == first
+
+
 def test_run_grating_runner(tmp_path):
     rec = run(ExperimentConfig(
         name="grating", params={"phase_pattern": "alternating"},

@@ -56,6 +56,16 @@ def test_translation_expect_phase_regression():
         assert math.atan2(c1.imag, c1.real) == pytest.approx(alpha, abs=1e-10)
 
 
+def test_translation_expect_cross_check_scales_with_norm():
+    # ||psi||^2 = 1e6: the two routes differ by ~1e-10 absolute, ~1e-16 relative
+    g = make_grid(2048, -64.0, 128.0)
+    psi = make_packet(g, PacketSpec("gaussian", 0.0, 2.0, p0=1.0))
+    big = WaveFunction(g, psi.amps * 1e3)
+    for L in (0.3, 1.0, 3.0):
+        assert translation_expect(big, L) == pytest.approx(1e6 * translation_expect(psi, L),
+                                                           rel=1e-12)
+
+
 def test_translation_expect_localized_state_vanishes():
     g = grid_for_bumps()
     psi = make_packet(g, PacketSpec("bump", 0.0, 2.0))
