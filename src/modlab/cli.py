@@ -6,8 +6,8 @@
 
 Config files are flat UTF-8 key/value text, one `key = value` per line, with
 `#` comments; keys and types are documented by `modlab list`. Exit codes:
-0 success, 2 schema violation (including unknown experiment or key), 3
-numerical guard failure.
+0 success, 1 I/O failure, 2 schema violation (including unknown experiment or
+key), 3 numerical guard failure.
 """
 
 from __future__ import annotations

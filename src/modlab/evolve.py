@@ -17,14 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fft
-from .errors import (
-    GridMismatch,
-    NonFiniteAmplitude,
-    OffLatticeL,
-    PhaseWrapWarning,
-    ZeroState,
+from .errors import GridMismatch, NonFiniteAmplitude, PhaseWrapWarning
+from .grid import (
+    Amplitudes,
+    Grid,
+    MomentumAmplitudes,
+    WaveFunction,
+    circulant,
+    lattice_steps,
+    to_momentum,
 )
-from .grid import Grid, MomentumAmplitudes, WaveFunction, to_momentum
 
 _POTENTIAL_KINDS = ("zero", "harmonic", "barrier", "sampled")
 
@@ -94,16 +96,6 @@ class PropagatorConfig:
             )
 
 
-def _check_phase_wrap(grid: Grid, cfg: PropagatorConfig) -> None:
-    advance = cfg.dt * float(np.max(grid.p_raw**2)) / (2.0 * cfg.mass * grid.hbar)
-    if advance >= math.pi:
-        warnings.warn(
-            f"kinetic phase advance {advance:.3g} rad/step exceeds the pi wrap guard",
-            PhaseWrapWarning,
-            stacklevel=3,
-        )
-
-
 def propagate(
     psi: WaveFunction,
     V: PotentialSpec,
@@ -115,30 +107,36 @@ def propagate(
     Returns snapshots at steps 0, snapshot_every, 2*snapshot_every, ..., steps;
     steps must be a multiple of snapshot_every so the cadence is uniform.
     """
-    if cfg.steps % snapshot_every != 0:
-        raise ValueError("steps must be a multiple of snapshot_every")
-    g = psi.grid
-    _check_phase_wrap(g, cfg)
-    half_v = np.exp(-0.5j * V.values(g) * cfg.dt / g.hbar)
-    kinetic = np.exp(-0.5j * g.p_raw**2 * cfg.dt / (cfg.mass * g.hbar))
-    snapshots = _strang(psi.amps, half_v, kinetic, cfg.steps, snapshot_every)
-    return [WaveFunction(g, amps) for amps in snapshots]
+    return _strang(psi, V.values(psi.grid), cfg, snapshot_every)
 
 
-def _strang(
-    amps: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray, steps: int, every: int
-) -> list[np.ndarray]:
+def _strang(state: Amplitudes, v: np.ndarray, cfg: PropagatorConfig, every: int) -> list:
     """The Strang stepper shared by one- and two-particle evolution.
 
-    Each step multiplies by half_v, transforms over all axes of amps,
-    multiplies by kinetic (in FFT order), transforms back and multiplies by
-    half_v again. Returns copies of the amplitudes at steps 0, every, ...,
-    steps, each checked for non-finite values.
+    Each step multiplies by exp(-i v dt/2h), transforms over all axes, applies
+    the kinetic phase, transforms back and multiplies by exp(-i v dt/2h) again.
+    Returns states of the input's type at steps 0, every, ..., steps, each
+    checked for non-finite values.
     """
-    amps = amps.copy()  # private buffer, transformed in place
+    if cfg.steps % every != 0:
+        raise ValueError("steps must be a multiple of snapshot_every")
+    g = state.grid
+    p2 = g.p_raw**2
+    advance = cfg.dt * float(np.max(p2)) / (2.0 * cfg.mass * g.hbar)
+    if advance >= math.pi:
+        warnings.warn(
+            f"kinetic phase advance {advance:.3g} rad/step exceeds the pi wrap guard",
+            PhaseWrapWarning,
+            stacklevel=3,
+        )
+    if state.rank == 2:
+        p2 = np.add.outer(p2, p2)
+    half_v = np.exp(-0.5j * v * cfg.dt / g.hbar)
+    kinetic = np.exp(-0.5j * p2 * cfg.dt / (cfg.mass * g.hbar))
+    amps = state.amps.copy()  # private buffer, transformed in place
     _check_finite(amps)
-    snapshots = [amps.copy()]
-    for step in range(1, steps + 1):
+    snapshots = [type(state)(g, amps.copy())]
+    for step in range(1, cfg.steps + 1):
         amps *= half_v
         amps = _fft.fft(amps, overwrite=True)
         amps *= kinetic
@@ -146,7 +144,7 @@ def _strang(
         amps *= half_v
         if step % every == 0:
             _check_finite(amps)
-            snapshots.append(amps.copy())
+            snapshots.append(type(state)(g, amps.copy()))
     return snapshots
 
 
@@ -161,28 +159,10 @@ def free_far_field(psi: WaveFunction) -> MomentumAmplitudes:
     return to_momentum(psi)
 
 
-@dataclass(frozen=True, eq=False)
-class TwoParticleState:
+class TwoParticleState(Amplitudes):
     """Two-particle amplitudes Psi(x1, x2) on the square of a common Grid."""
 
-    grid: Grid
-    amps: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.amps, dtype=np.complex128)
-        if a.shape != (self.grid.n, self.grid.n):
-            raise GridMismatch(f"expected shape {(self.grid.n,) * 2}, got {a.shape}")
-        a.setflags(write=False)
-        object.__setattr__(self, "amps", a)
-
-    def norm(self) -> float:
-        return math.sqrt(float(np.sum(np.abs(self.amps) ** 2)) * self.grid.dx**2)
-
-    def normalized(self) -> "TwoParticleState":
-        n = self.norm()
-        if n == 0.0:
-            raise ZeroState("cannot normalize the zero state")
-        return TwoParticleState(self.grid, self.amps / n)
+    rank = 2
 
 
 def product_state(psi1: WaveFunction, psi2: WaveFunction) -> TwoParticleState:
@@ -193,15 +173,7 @@ def product_state(psi1: WaveFunction, psi2: WaveFunction) -> TwoParticleState:
 
 def _difference_potential(grid: Grid, v12: PotentialSpec) -> np.ndarray:
     """V(x1 - x2) with the periodic difference wrapped back onto the lattice."""
-    s0 = grid.x0 / grid.dx
-    if abs(s0 - round(s0)) > 1e-9:
-        raise OffLatticeL(
-            "x0 must be an integer multiple of dx so differences land on the lattice"
-        )
-    vals = v12.values(grid)
-    n = grid.n
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :] - int(round(s0))) % n
-    return vals[idx]
+    return circulant(v12.values(grid), lattice_steps(grid, grid.x0, "x0"))
 
 
 TWO_PARTICLE_N_CAP = 512  # dense n x n amplitudes; keeps memory bounded
@@ -214,19 +186,11 @@ def propagate_two(
     snapshot_every: int = 1,
 ) -> list[TwoParticleState]:
     """Strang-split two-particle evolution under H = (p1^2 + p2^2)/2m + V(x1 - x2)."""
-    if cfg.steps % snapshot_every != 0:
-        raise ValueError("steps must be a multiple of snapshot_every")
-    g = state.grid
-    if g.n > TWO_PARTICLE_N_CAP:
+    if state.grid.n > TWO_PARTICLE_N_CAP:
         raise GridMismatch(
             f"two-particle grids are capped at n <= {TWO_PARTICLE_N_CAP} per axis"
         )
-    _check_phase_wrap(g, cfg)
-    half_v = np.exp(-0.5j * _difference_potential(g, v12) * cfg.dt / g.hbar)
-    p2 = g.p_raw**2
-    kinetic = np.exp(-0.5j * (p2[:, None] + p2[None, :]) * cfg.dt / (cfg.mass * g.hbar))
-    snapshots = _strang(state.amps, half_v, kinetic, cfg.steps, snapshot_every)
-    return [TwoParticleState(g, amps) for amps in snapshots]
+    return _strang(state, _difference_potential(state.grid, v12), cfg, snapshot_every)
 
 
 def translation_expect_two(

@@ -10,7 +10,7 @@ resolved parameter map into the record, and is byte-reproducible for a fixed
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -153,13 +153,9 @@ def sample_detections(
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     cdf = _lattice_cdf(dens)
     ps = _sample_lattice_p(dens, cdf, seed, np.arange(n_trials, dtype=np.uint64))
-    running = np.cumsum(ps)
-    out = []
-    for t in range(n_trials):
-        recoil = -running[t]
-        assert recoil + running[t] == 0.0  # conservation bookkeeping, exact
-        out.append(DetectionSample(trial=t, p_detected=float(ps[t]), recoil_cumulative=float(recoil)))
-    return out
+    recoil = -np.cumsum(ps)
+    return [DetectionSample(trial=t, p_detected=p, recoil_cumulative=r)
+            for t, (p, r) in enumerate(zip(ps.tolist(), recoil.tolist()))]
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +446,7 @@ def _run_uncertainty(params: dict, seed: int) -> ExperimentRecord:
     grid = _grid_from(params)
     rec = uncertainty_experiment(params["spacing"], params["widths"], grid,
                                  bins=params["bins"], k_max=params["k_max"], seed=seed)
-    return ExperimentRecord(experiment=rec.experiment, params_echo=params,
-                            columns=rec.columns, provenance=rec.provenance,
-                            summary=rec.summary)
+    return replace(rec, params_echo=params)
 
 
 @_experiment("classical-limit", {
@@ -470,9 +464,7 @@ def _run_classical_limit(params: dict, seed: int) -> ExperimentRecord:
     packet = PacketSpec(kind="gaussian", center=0.0, width=params["width"], p0=params["p0"])
     rec = classical_limit_experiment(params["spacing"], params["hbar_values"],
                                      packet, grid, bins=params["bins"], seed=seed)
-    return ExperimentRecord(experiment=rec.experiment, params_echo=params,
-                            columns=rec.columns, provenance=rec.provenance,
-                            summary=rec.summary)
+    return replace(rec, params_echo=params)
 
 
 @_experiment("two-particle", {
@@ -530,15 +522,14 @@ def _run_two_particle(params: dict, seed: int) -> ExperimentRecord:
     "n_max": Param("int", 0, "series truncation; 0 means ceil(k*r) + 40"),
 })
 def _run_scattering(params: dict, seed: int) -> ExperimentRecord:
-    from .scattering import FluxParam, ScatterConfig, _wave_coefficients, scattering_profile
+    from .scattering import FluxParam, ScatterConfig, _profile
 
     n_max = params["n_max"] or math.ceil(params["k"] * params["r"]) + 40
     thetas = tuple(-math.pi + 2.0 * math.pi * i / params["n_thetas"]
                    for i in range(params["n_thetas"]))
     cfg = ScatterConfig(k=params["k"], r=params["r"], thetas=thetas, n_max=n_max)
     flux = FluxParam(params["alpha"])
-    profile = scattering_profile(flux, cfg)
-    _, _, tail = _wave_coefficients(flux, cfg)
+    profile, tail = _profile(flux, cfg)
     return ExperimentRecord(
         experiment="scattering",
         params_echo={**params, "n_max": n_max},
@@ -571,10 +562,7 @@ def _run_random_walk(params: dict, seed: int) -> ExperimentRecord:
     )
     rec = random_walk_experiment(spec, grid, params["n_electrons"],
                                  params["n_repeats"], seed, strict=bool(params["strict"]))
-    return ExperimentRecord(
-        experiment=rec.experiment, params_echo=params, columns=rec.columns,
-        provenance=rec.provenance, summary=rec.summary,
-    )
+    return replace(rec, params_echo=params)
 
 
 @_experiment("taylor-demo", {

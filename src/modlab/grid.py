@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
 from . import _fft
-from .errors import GridMismatch, NonPositiveDomain, NonPowerOfTwo
+from .errors import GridMismatch, NonPositiveDomain, NonPowerOfTwo, OffLatticeL, ZeroState
 
 
 @dataclass(frozen=True)
@@ -75,48 +76,62 @@ def make_grid(n: int, x0: float, length: float, hbar: float = 1.0) -> Grid:
 
 
 @dataclass(frozen=True, eq=False)
-class WaveFunction:
-    """Complex amplitudes in the position representation on a Grid."""
+class Amplitudes:
+    """Read-only complex amplitudes over `rank` copies of a Grid's lattice: the
+    one base of the position, momentum and two-particle amplitude types."""
 
     grid: Grid
     amps: np.ndarray
+    rank: ClassVar[int] = 1
+    momentum: ClassVar[bool] = False  # lattice cell dp instead of dx
 
     def __post_init__(self):
         a = np.asarray(self.amps, dtype=np.complex128)
-        if a.shape != (self.grid.n,):
-            raise GridMismatch(f"expected {self.grid.n} amplitudes, got shape {a.shape}")
+        shape = (self.grid.n,) * self.rank
+        if a.shape != shape:
+            raise GridMismatch(f"expected shape {shape}, got {a.shape}")
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
 
     def norm(self) -> float:
-        return math.sqrt(float(np.sum(np.abs(self.amps) ** 2)) * self.grid.dx)
+        cell = self.grid.dp if self.momentum else self.grid.dx
+        return math.sqrt(float(np.sum(self.density())) * cell**self.rank)
 
-    def normalized(self) -> "WaveFunction":
+    def normalized(self):
         n = self.norm()
         if n == 0.0:
-            raise GridMismatch("cannot normalize the zero state")
-        return WaveFunction(self.grid, self.amps / n)
-
-    def position_density(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
-
-@dataclass(frozen=True, eq=False)
-class MomentumAmplitudes:
-    """Complex amplitudes in the momentum representation, ordered by increasing p."""
-
-    grid: Grid
-    amps: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.amps, dtype=np.complex128)
-        if a.shape != (self.grid.n,):
-            raise GridMismatch(f"expected {self.grid.n} amplitudes, got shape {a.shape}")
-        a.setflags(write=False)
-        object.__setattr__(self, "amps", a)
+            raise ZeroState("cannot normalize the zero state")
+        return type(self)(self.grid, self.amps / n)
 
     def density(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
+
+
+class WaveFunction(Amplitudes):
+    """Complex amplitudes in the position representation on a Grid."""
+
+    position_density = Amplitudes.density
+
+
+class MomentumAmplitudes(Amplitudes):
+    """Complex amplitudes in the momentum representation, ordered by increasing p."""
+
+    momentum = True
+
+
+def lattice_steps(grid: Grid, a: float, name: str = "L") -> int:
+    """The integer m with a = m * dx to within 1e-9 of a step; raises
+    OffLatticeL, naming `a` as `name`, when there is none."""
+    m = a / grid.dx
+    if abs(m - round(m)) > 1e-9:
+        raise OffLatticeL(f"{name} = {a} is not an integer multiple of dx = {grid.dx}")
+    return int(round(m))
+
+
+def circulant(c: np.ndarray, shift: int = 0) -> np.ndarray:
+    """The n x n matrix M[a, b] = c[(a - b - shift) mod n] of a length-n vector."""
+    n = len(c)
+    return c[(np.arange(n)[:, None] - np.arange(n)[None, :] - shift) % n]
 
 
 def to_momentum(psi: WaveFunction) -> MomentumAmplitudes:
@@ -154,8 +169,8 @@ def translate(psi: WaveFunction, a: float) -> WaveFunction:
     a is an integer multiple of dx the result is an exact circular index roll.
     A packet centered at c moves to c - a.
     """
-    g = psi.grid
-    m = a / g.dx
-    if abs(m - round(m)) < 1e-9:
-        return WaveFunction(g, np.roll(psi.amps, -int(round(m))))
-    return _translate_spectral(psi, a)
+    try:
+        m = lattice_steps(psi.grid, a)
+    except OffLatticeL:
+        return _translate_spectral(psi, a)
+    return WaveFunction(psi.grid, np.roll(psi.amps, -m))

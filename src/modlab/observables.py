@@ -24,11 +24,17 @@ from .errors import (
     InternalInconsistency,
     NoPeaks,
     NonUniformSampling,
-    OffLatticeL,
     PeriodUnderResolved,
 )
 from .evolve import PotentialSpec
-from .grid import MomentumAmplitudes, WaveFunction, to_momentum, translate
+from .grid import (
+    MomentumAmplitudes,
+    WaveFunction,
+    inner,
+    lattice_steps,
+    to_momentum,
+    translate,
+)
 
 _CROSS_CHECK_TOL = 1e-11
 
@@ -72,11 +78,8 @@ def translation_expect(psi: WaveFunction, L: float, k: int = 1) -> complex:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     g = psi.grid
-    shifted = translate(psi, k * L)
-    pos_val = complex(np.vdot(psi.amps, shifted.amps) * g.dx)
-
-    mom = to_momentum(psi)
-    weights = mom.density() * g.dp
+    pos_val = inner(psi, translate(psi, k * L))
+    weights = to_momentum(psi).density() * g.dp
     mom_val = complex(np.sum(weights * np.exp(1j * g.p * k * L / g.hbar)))
     tol = _CROSS_CHECK_TOL * max(1.0, psi.norm() ** 2)
     if abs(pos_val - mom_val) > tol:
@@ -168,19 +171,15 @@ def eom_residual(
         ):
             raise NonUniformSampling("snapshot times are not uniformly spaced by dt")
     g = snapshots[0].grid
-    shift = L / g.dx
-    if abs(shift - round(shift)) > 1e-9:
-        raise OffLatticeL(f"L = {L} is not an integer multiple of dx = {g.dx}")
-    m = int(round(shift))
     v = V.values(g)
-    dv = v - np.roll(v, -m)  # V(x) - V(x + L)
+    dv = v - np.roll(v, -lattice_steps(g, L))  # V(x) - V(x + L)
 
     t_vals = np.empty(len(snapshots), dtype=complex)
     rhs = np.empty(len(snapshots), dtype=complex)
     for i, wf in enumerate(snapshots):
-        shifted = np.roll(wf.amps, -m)
-        t_vals[i] = np.vdot(wf.amps, shifted) * g.dx
-        rhs[i] = (1j / g.hbar) * np.vdot(wf.amps, dv * shifted) * g.dx
+        shifted = translate(wf, L)
+        t_vals[i] = inner(wf, shifted)
+        rhs[i] = (1j / g.hbar) * inner(wf, WaveFunction(g, dv * shifted.amps))
     deriv = (t_vals[2:] - t_vals[:-2]) / (2.0 * dt)
     return np.abs(deriv - rhs[1:-1])
 

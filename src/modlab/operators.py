@@ -4,6 +4,7 @@ The momentum operator is defined by spectral conjugation F* diag(p) F rather
 than finite differences, so the kinetic term and lattice translations commute
 to machine precision and the nonlocal equation of motion for the translation
 operator holds as an exact matrix identity, not a discretization-limited one.
+Each such f(p) is a circulant matrix, built from one inverse FFT of f.
 
 Also houses the classical symplectic comparator (where a momentum function
 only changes at a point with a force) and the conic identity tying the folded
@@ -14,14 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import _fft
-from .errors import DegreeCap, DimCap, NonDifferentiableV, OffLatticeL
+from .errors import DimCap, NonDifferentiableV
 from .evolve import PotentialSpec
-from .grid import Grid
+from .grid import Grid, circulant, lattice_steps
+from .observables import MomentSpec
 
 MATRIX_DIM_CAP = 2048
 
@@ -52,26 +53,10 @@ def _check_dim(grid: Grid) -> None:
         raise DimCap(f"dense matrices capped at dim {MATRIX_DIM_CAP}, grid has {grid.n}")
 
 
-@lru_cache(maxsize=4)
-def _fourier_matrix(grid: Grid) -> np.ndarray:
-    """Unitary plane-wave analysis matrix U[j, m] = exp(-i p_j x_m / hbar)/sqrt(n)."""
-    u = np.exp(-1j * np.outer(grid.p, grid.x) / grid.hbar) / math.sqrt(grid.n)
-    u.setflags(write=False)
-    return u
-
-
-def _spectral_function(grid: Grid, diag: np.ndarray) -> np.ndarray:
-    """U* diag(f(p)) U: the operator f(p) in the position basis."""
-    u = _fourier_matrix(grid)
-    return (u.conj().T * diag[None, :]) @ u
-
-
-@lru_cache(maxsize=8)
-def _p_power(grid: Grid, m: int) -> np.ndarray:
-    """P^m in the position basis; cached since the product dominates weyl_matrix."""
-    out = _spectral_function(grid, grid.p.astype(complex) ** m)
-    out.setflags(write=False)
-    return out
+def _spectral_function(f: np.ndarray) -> np.ndarray:
+    """The operator f(p), f given on grid.p, in the position basis: the circulant
+    matrix of the inverse DFT of f, since p_j dx / hbar = 2 pi j / n."""
+    return circulant(_fft.ifft(np.fft.ifftshift(f)))
 
 
 def build_x(grid: Grid) -> OperatorMatrix:
@@ -81,16 +66,14 @@ def build_x(grid: Grid) -> OperatorMatrix:
 
 def build_p(grid: Grid) -> OperatorMatrix:
     _check_dim(grid)
-    return OperatorMatrix(grid.n, _spectral_function(grid, grid.p), hermitian=True)
+    return OperatorMatrix(grid.n, _spectral_function(grid.p), hermitian=True)
 
 
 def build_translation(grid: Grid, L: float) -> OperatorMatrix:
     """exp(i p L / hbar): shifts states by L; an exact circular index-shift
     permutation when L is a lattice multiple."""
     _check_dim(grid)
-    return OperatorMatrix(
-        grid.n, _spectral_function(grid, np.exp(1j * grid.p * L / grid.hbar))
-    )
+    return OperatorMatrix(grid.n, _spectral_function(np.exp(1j * grid.p * L / grid.hbar)))
 
 
 def eom_identity_residual(
@@ -103,11 +86,7 @@ def eom_identity_residual(
     with H = P^2/2m + diag(V). The kinetic part commutes with T_L exactly, so
     the return value is pure roundoff.
     """
-    _check_dim(grid)
-    shift = L / grid.dx
-    if abs(shift - round(shift)) > 1e-9:
-        raise OffLatticeL(f"L = {L} is not an integer multiple of dx = {grid.dx}")
-    m = int(round(shift))
+    m = lattice_steps(grid, L)
     v = V.values(grid)
     p_mat = build_p(grid).entries
     h = p_mat @ p_mat / (2.0 * mass) + np.diag(v.astype(complex))
@@ -119,10 +98,9 @@ def eom_identity_residual(
 
 def weyl_matrix(grid: Grid, n_x: int, m_p: int) -> OperatorMatrix:
     """Symmetrized monomial W(x^n p^m) = 2^-n sum_k C(n,k) X^k P^m X^(n-k)."""
-    if n_x < 0 or m_p < 0 or n_x + m_p > 6:
-        raise DegreeCap(f"total degree capped at 6, got {n_x + m_p}")
+    MomentSpec(n_x, m_p)  # enforces the degree cap
     _check_dim(grid)
-    pm = _p_power(grid, m_p)
+    pm = _spectral_function(grid.p**m_p)
     x = grid.x
     acc = np.zeros((grid.n, grid.n), dtype=np.complex128)
     for k in range(n_x + 1):

@@ -200,11 +200,16 @@ def partial_wave_psi(flux: FluxParam, cfg: ScatterConfig, theta: float) -> Parti
     return PartialWave(value=value, tail_bound=tail)
 
 
-def scattering_profile(flux: FluxParam, cfg: ScatterConfig) -> list[tuple[float, float]]:
-    """|psi(r, theta)|^2 over cfg.thetas; deterministic and order-independent."""
-    ns, coefs, _ = _wave_coefficients(flux, cfg)
+def _profile(flux: FluxParam, cfg: ScatterConfig) -> tuple[list[tuple[float, float]], float]:
+    """(theta, |psi(r, theta)|^2) over cfg.thetas, and the series tail bound."""
+    ns, coefs, tail = _wave_coefficients(flux, cfg)
     out = []
     for theta in cfg.thetas:
         value = complex(np.sum(coefs * np.exp(1j * ns * theta)))
         out.append((float(theta), abs(value) ** 2))
-    return out
+    return out, tail
+
+
+def scattering_profile(flux: FluxParam, cfg: ScatterConfig) -> list[tuple[float, float]]:
+    """|psi(r, theta)|^2 over cfg.thetas; deterministic and order-independent."""
+    return _profile(flux, cfg)[0]

@@ -77,12 +77,16 @@ class SlitArraySpec:
                 raise ValueError("weights must be non-negative")
 
 
-def _check_packet_fits(grid: Grid, spec: PacketSpec, lo: float, hi: float) -> None:
-    """lo/hi: support extremes of the full state built from `spec` packets."""
+def _check_packet_fits(grid: Grid, spec: PacketSpec, support: tuple | None) -> None:
+    """support: extremes (lo, hi) of the full state built from `spec` packets,
+    or None for a closed ring, which has no edges to stay away from."""
     if spec.width <= 4.0 * grid.dx:
         raise ResolutionGuard(
             f"packet width {spec.width} must exceed 4*dx = {4.0 * grid.dx}"
         )
+    if support is None:
+        return
+    lo, hi = support
     margin = 4.0 * spec.width
     left, right = grid.x0, grid.x0 + grid.length
     if lo - left < margin or right - hi < margin:
@@ -112,7 +116,7 @@ def _packet_amps(grid: Grid, spec: PacketSpec, center: float) -> np.ndarray:
 def make_packet(grid: Grid, spec: PacketSpec) -> WaveFunction:
     """Normalized single packet; bump amplitudes vanish exactly outside the support."""
     r = spec.support_radius()
-    _check_packet_fits(grid, spec, spec.center - r, spec.center + r)
+    _check_packet_fits(grid, spec, (spec.center - r, spec.center + r))
     return WaveFunction(grid, _packet_amps(grid, spec, spec.center)).normalized()
 
 
@@ -129,19 +133,15 @@ def superpose(
     g = parts[0][0].grid
     if any(wf.grid != g for wf, _ in parts):
         raise GridMismatch("superposition parts live on different grids")
-    if all(c == 0 for _, c in parts):
-        raise ZeroState("all coefficients are zero")
     acc = np.zeros(g.n, dtype=np.complex128)
     for wf, c in parts:
         acc += c * wf.amps
-    out = WaveFunction(g, acc)
-    if out.norm() == 0.0:
-        raise ZeroState("coefficients cancel to the zero state")
+    out = WaveFunction(g, acc).normalized()  # ZeroState if the coefficients cancel
     max_overlap = 0.0
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             max_overlap = max(max_overlap, abs(inner(parts[i][0], parts[j][0])))
-    return out.normalized(), max_overlap
+    return out, max_overlap
 
 
 def make_grating(grid: Grid, spec: SlitArraySpec) -> WaveFunction:
@@ -157,16 +157,9 @@ def make_grating(grid: Grid, spec: SlitArraySpec) -> WaveFunction:
             f"bump supports overlap: spacing {spec.spacing} <= 2*width {2.0 * pk.width}"
         )
     ring = abs(spec.m_slits * spec.spacing - grid.length) < 1e-9 * grid.length
-    if ring:
-        if pk.width <= 4.0 * grid.dx:
-            raise ResolutionGuard(
-                f"packet width {pk.width} must exceed 4*dx = {4.0 * grid.dx}"
-            )
-    else:
-        r = pk.support_radius()
-        lo = pk.center - r
-        hi = pk.center + (spec.m_slits - 1) * spec.spacing + r
-        _check_packet_fits(grid, pk, lo, hi)
+    r = pk.support_radius()
+    support = (pk.center - r, pk.center + (spec.m_slits - 1) * spec.spacing + r)
+    _check_packet_fits(grid, pk, None if ring else support)
     weights = spec.weights if spec.weights is not None else (1.0,) * spec.m_slits
     acc = np.zeros(grid.n, dtype=np.complex128)
     for m in range(spec.m_slits):
@@ -175,10 +168,7 @@ def make_grating(grid: Grid, spec: SlitArraySpec) -> WaveFunction:
             * np.exp(1j * spec.phases[m])
             * _packet_amps(grid, pk, pk.center + m * spec.spacing)
         )
-    out = WaveFunction(grid, acc)
-    if out.norm() == 0.0:
-        raise ZeroState("slit weights cancel to the zero state")
-    return out.normalized()
+    return WaveFunction(grid, acc).normalized()  # ZeroState if the weights cancel
 
 
 def make_two_slit(grid: Grid, L: float, packet: PacketSpec, alpha: float) -> WaveFunction:

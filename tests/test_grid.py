@@ -13,7 +13,7 @@ from modlab import (
     to_momentum,
     translate,
 )
-from modlab.errors import GridMismatch, NonPositiveDomain, NonPowerOfTwo
+from modlab.errors import GridMismatch, NonPositiveDomain, NonPowerOfTwo, ZeroState
 from modlab.grid import _translate_spectral
 
 # frozen oracle: 2*pi/128 evaluated in extended precision
@@ -94,6 +94,18 @@ def test_parseval():
     psi = make_packet(g, PacketSpec("gaussian", 1.0, 2.0, p0=0.7))
     mom = to_momentum(psi)
     assert abs(np.sum(mom.density()) * g.dp - 1.0) < 1e-12
+
+
+def test_momentum_norm_matches_position_norm():
+    g = make_grid(256, -32.0, 64.0)
+    psi = WaveFunction(g, 3.0 * make_packet(g, PacketSpec("gaussian", 1.0, 2.0, p0=0.5)).amps)
+    assert to_momentum(psi).norm() == pytest.approx(psi.norm(), rel=1e-12)
+
+
+def test_normalize_zero_state_raises():
+    g = make_grid(64, -8.0, 16.0)
+    with pytest.raises(ZeroState):
+        WaveFunction(g, np.zeros(g.n)).normalized()
 
 
 def test_inner_normalization_and_mismatch():

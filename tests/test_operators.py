@@ -17,6 +17,7 @@ from modlab import (
     eom_identity_residual,
     make_grid,
     make_packet,
+    translate,
     weyl_matrix,
 )
 from modlab.errors import DegreeCap, DimCap, NonDifferentiableV, OffLatticeL
@@ -81,6 +82,23 @@ def test_canonical_commutator_on_interior_state():
     comm = x_mat @ p_mat - p_mat @ x_mat
     val = expect(comm, psi)
     assert abs(val - 1j * g.hbar) < 1e-6
+
+
+def test_spectral_builds_match_explicit_fourier_product():
+    # independent oracle: U* diag(f(p)) U with the plane-wave matrix built here
+    g = small_grid(64, 16.0)
+    u = np.exp(-1j * np.outer(g.p, g.x) / g.hbar) / math.sqrt(g.n)
+    for built, f in ((build_p(g).entries, g.p), (weyl_matrix(g, 0, 3).entries, g.p**3)):
+        direct = (u.conj().T * f[None, :]) @ u
+        assert np.max(np.abs(built - direct)) < 1e-12 * np.max(np.abs(direct))
+
+
+def test_off_lattice_translation_matches_spectral_shift():
+    g = small_grid(256, 32.0)
+    psi = make_packet(g, PacketSpec("gaussian", 0.5, 1.0, p0=0.8))
+    a = 0.37 * g.dx
+    t = build_translation(g, a).entries
+    assert np.max(np.abs(t @ psi.amps - translate(psi, a).amps)) < 1e-12
 
 
 def test_build_translation_identity_and_permutation():
