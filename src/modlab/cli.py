@@ -97,15 +97,11 @@ def main(argv: list[str] | None = None) -> int:
             format=args.format,
         )
         record = run(config)
-    except (SchemaViolation, UnknownExperiment) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except IoFailure as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except ModlabError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_GUARD
+        if isinstance(e, (SchemaViolation, UnknownExperiment)):
+            return EXIT_SCHEMA
+        return 1 if isinstance(e, IoFailure) else EXIT_GUARD
     out_path = Path(config.out_dir) / f"{record.experiment}-{config.seed}.{config.format}"
     print(f"wrote {out_path}")
     for key, value in record.summary.items():

@@ -64,16 +64,23 @@ class Param:
     help: str = ""
 
 
+def _finite(raw) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {raw!r}")
+    return value
+
+
 def _coerce(name: str, spec: Param, raw) -> object:
     try:
         if spec.kind == "int":
             return int(raw)
         if spec.kind == "float":
-            return float(raw)
+            return _finite(raw)
         if spec.kind == "floats":
             if isinstance(raw, (list, tuple)):
-                return [float(v) for v in raw]
-            return [float(tok) for tok in str(raw).split(",") if tok.strip()]
+                return [_finite(v) for v in raw]
+            return [_finite(tok) for tok in str(raw).split(",") if tok.strip()]
         return str(raw)
     except (TypeError, ValueError) as e:
         raise SchemaViolation(f"parameter {name!r}: cannot parse {raw!r} as {spec.kind}") from e
@@ -522,19 +529,18 @@ def _run_two_particle(params: dict, seed: int) -> ExperimentRecord:
     "n_max": Param("int", 0, "series truncation; 0 means ceil(k*r) + 40"),
 })
 def _run_scattering(params: dict, seed: int) -> ExperimentRecord:
-    from .scattering import FluxParam, ScatterConfig, _profile
+    from .scattering import FluxParam, ScatterConfig, _psi
 
     n_max = params["n_max"] or math.ceil(params["k"] * params["r"]) + 40
     thetas = tuple(-math.pi + 2.0 * math.pi * i / params["n_thetas"]
                    for i in range(params["n_thetas"]))
     cfg = ScatterConfig(k=params["k"], r=params["r"], thetas=thetas, n_max=n_max)
     flux = FluxParam(params["alpha"])
-    profile, tail = _profile(flux, cfg)
+    values, tail = _psi(flux, cfg, thetas)
     return ExperimentRecord(
         experiment="scattering",
         params_echo={**params, "n_max": n_max},
-        columns={"theta": np.array([t for t, _ in profile]),
-                 "intensity": np.array([v for _, v in profile])},
+        columns={"theta": np.array(thetas), "intensity": np.abs(values) ** 2},
         provenance=_provenance(seed),
         summary={"tail_bound": tail, "kr": params["k"] * params["r"],
                  "reduced_flux": flux.reduced},

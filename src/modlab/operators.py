@@ -106,7 +106,6 @@ def weyl_matrix(grid: Grid, n_x: int, m_p: int) -> OperatorMatrix:
     for k in range(n_x + 1):
         acc += math.comb(n_x, k) * (x**k)[:, None] * pm * (x ** (n_x - k))[None, :]
     acc /= 2.0**n_x
-    acc = 0.5 * (acc + acc.conj().T)  # strip roundoff asymmetry
     return OperatorMatrix(grid.n, acc, hermitian=True)
 
 

@@ -8,11 +8,12 @@ quanta. Acceptance rests on internally verifiable symmetries: integer flux is
 pure gauge, |psi| is periodic in alpha with period 1, and reflection maps
 alpha -> -alpha, theta -> -theta.
 
-The Bessel evaluator is self-contained: an ascending power series accumulated
-in extended precision at small argument, and downward recurrence with
-fractional-order normalization (Miller's method) at large argument. The
-supporting Gamma function is a Lanczos approximation evaluated in log space so
-it stays usable where Gamma itself overflows.
+The Bessel evaluator is self-contained: one downward recurrence with
+fractional-order normalization (Miller's method) yields a whole order family
+frac + j at once, so `bessel_j` and the partial-wave coefficients share it;
+below z = 1e-8 the leading series term stands in. The supporting Gamma
+function is a Lanczos approximation evaluated in log space so it stays usable
+where Gamma itself overflows.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import OutOfEnvelope, TruncationTooSmall
 
 NU_MAX = 200.0
 Z_MAX = 500.0
-_SERIES_Z_MAX = 15.0  # ascending series below, Miller recurrence above
 
 # Lanczos g=7, 9-term coefficients (Godfrey); relative error ~1e-14
 _LANCZOS_G = 7.0
@@ -53,7 +53,9 @@ def _lanczos_sum(s: float) -> tuple[float, float]:
 
 
 def gamma(s: float) -> float:
-    """Gamma(s) for s > 0 (reflection below 1/2); inf past the float64 range."""
+    """Gamma(s) off the poles (reflection below 1/2); inf past the float64 range."""
+    if s <= 0.0 and s % 1.0 == 0.0:
+        raise OutOfEnvelope(f"Gamma has a pole at s={s}")
     if s < 0.5:
         return math.pi / (math.sin(math.pi * s) * gamma(1.0 - s))
     a, t = _lanczos_sum(s - 1.0)
@@ -64,68 +66,46 @@ def gamma(s: float) -> float:
 
 
 def log_gamma(s: float) -> float:
-    """log Gamma(s), accurate over (0, 250] and beyond."""
+    """log Gamma(s) for s > 0, accurate over (0, 250] and beyond."""
+    if not s > 0.0:
+        raise OutOfEnvelope(f"log_gamma needs s > 0, got s={s}")
     if s < 0.5:
         return math.log(math.pi / math.sin(math.pi * s)) - log_gamma(1.0 - s)
     a, t = _lanczos_sum(s - 1.0)
     return 0.5 * math.log(2.0 * math.pi) + (s - 0.5) * math.log(t) - t + math.log(a)
 
 
-def _series_j(nu: float, z: float) -> float:
-    """Ascending series sum_k (-1)^k (z/2)^(nu+2k) / (k! Gamma(nu+k+1)).
+def _miller(frac: float, z: float, top: int) -> np.ndarray:
+    """J_(frac+j)(z) for j = 0..top, 0 <= frac < 1, z > 0.
 
-    Accumulated in long double so the alternating-term cancellation near the
-    series/recurrence boundary stays below the 1e-10 envelope."""
-    if z == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    log_t0 = nu * math.log(0.5 * z) - log_gamma(nu + 1.0)
-    if log_t0 < -745.0:
-        return 0.0
-    term = np.longdouble(math.exp(log_t0))
-    q = np.longdouble(z) * np.longdouble(z) / 4.0
-    total = term
-    for k in range(1, 400):
-        term = -term * q / (np.longdouble(k) * np.longdouble(nu + k))
-        total += term
-        if abs(term) < 1e-25 * max(abs(total), np.longdouble(1e-30)) and k > z:
-            break
-    return float(total)
+    One downward recurrence from above the turning point yields the whole
+    family, normalized by
 
+        (z/2)^frac / Gamma(1 + frac) = sum_k w_k J_(frac+2k)(z),
+        w_0 = 1,  w_k = (frac + 2k) Gamma(frac + k) / (k! Gamma(1 + frac))
 
-def _miller_j(nu: float, z: float) -> float:
-    """Downward recurrence from above the turning point, normalized by
-
-        (z/2)^nu = sum_k (nu + 2k) Gamma(nu + k) / k! J_(nu+2k)(z)
-
-    (the classic 1 = J_0 + 2 J_2 + 2 J_4 + ... when nu is an integer)."""
-    frac = nu - math.floor(nu)
-    target_j = int(math.floor(nu))
-    start = int(max(nu, z)) + 20 + int(2.0 * math.sqrt(52.0 * max(z, 1.0)))
-    prev = 0.0  # J at order frac + start + 1 (trial)
-    curr = 1e-290
-    target = None
-    acc = 0.0
-    for j in range(start, -1, -1):
-        mu = frac + j + 1.0
-        prev, curr = curr, (2.0 * mu / z) * curr - prev
-        # curr is the trial value at order frac + j
-        if j == target_j:
-            target = curr
-        if j % 2 == 0:
-            k = j // 2
-            if frac == 0.0:
-                coef = 1.0 if k == 0 else 2.0
-            else:
-                coef = (frac + 2 * k) * math.exp(log_gamma(frac + k) - log_gamma(k + 1.0))
-            acc += coef * curr
-        if abs(curr) > 1e250:
-            prev /= 1e250
-            curr /= 1e250
-            acc /= 1e250
-            if target is not None:
-                target /= 1e250
-    scale = 1.0 if frac == 0.0 else (0.5 * z) ** frac
-    return target * scale / acc
+    (the classic 1 = J_0 + 2 J_2 + 2 J_4 + ... at frac = 0). The weights are
+    w_k = c_k (frac + 2k) / (frac + k) with c_k / c_(k-1) = (frac + k) / k.
+    Below z = 1e-8 the leading series term (relative error <= z^2/4) replaces
+    the recurrence, whose per-step growth 2(frac + j)/z would overflow."""
+    if z < 1e-8:
+        ratios = 0.5 * z / (frac + np.arange(1, top + 1))  # J_(nu+1) / J_nu
+        first = math.exp(frac * math.log(0.5 * z) - log_gamma(1.0 + frac))
+        return first * np.cumprod(np.concatenate(([1.0], ratios)))
+    start = int(max(frac + top, z)) + 20 + int(2.0 * math.sqrt(52.0 * max(z, 1.0)))
+    trial = [0.0] * (start + 2)  # trial[j] is proportional to J_(frac+j)
+    trial[start] = 1e-290
+    two_over_z = 2.0 / z
+    for j in range(start, 0, -1):
+        trial[j - 1] = two_over_z * (frac + j) * trial[j] - trial[j + 1]
+        if abs(trial[j - 1]) > 1e250:
+            trial[j - 1:] = [t * 1e-250 for t in trial[j - 1:]]
+    k = np.arange(1, start // 2 + 1)
+    c = np.cumprod((frac + k) / k)
+    weights = np.concatenate(([1.0], c * (frac + 2 * k) / (frac + k)))
+    trial = np.array(trial[:-1])
+    scale = (0.5 * z) ** frac / (gamma(1.0 + frac) * float(weights @ trial[0::2]))
+    return trial[: top + 1] * scale
 
 
 def bessel_j(nu: float, z: float) -> float:
@@ -135,9 +115,10 @@ def bessel_j(nu: float, z: float) -> float:
             f"supported envelope is 0 <= nu <= {NU_MAX}, 0 <= z <= {Z_MAX}; "
             f"got nu={nu}, z={z}"
         )
-    if z <= _SERIES_Z_MAX:
-        return _series_j(nu, z)
-    return _miller_j(nu, z)
+    if z == 0.0:
+        return 1.0 if nu == 0.0 else 0.0
+    top = math.floor(nu)
+    return float(_miller(nu - top, z, top)[top])
 
 
 @dataclass(frozen=True)
@@ -161,10 +142,9 @@ class ScatterConfig:
     def __post_init__(self):
         if not (self.k > 0.0) or not (self.r > 0.0):
             raise ValueError(f"need k > 0 and r > 0, got k={self.k} r={self.r}")
-        if self.n_max < math.ceil(self.k * self.r) + 24:
-            raise ValueError(
-                f"n_max must be >= ceil(k*r) + 24 = {math.ceil(self.k * self.r) + 24}"
-            )
+        n_floor = math.ceil(self.k * self.r) + 24
+        if self.n_max < n_floor:
+            raise ValueError(f"n_max must be >= ceil(k*r) + 24 = {n_floor}")
 
 
 class PartialWave(NamedTuple):
@@ -174,17 +154,23 @@ class PartialWave(NamedTuple):
 
 def _wave_coefficients(flux: FluxParam, cfg: ScatterConfig) -> tuple[np.ndarray, np.ndarray, float]:
     """Angular-harmonic coefficients (-i)^|n-alpha| J_|n-alpha|(k r) and the
-    truncation tail estimate from the last 4 orders at each end."""
+    truncation tail estimate from the last 4 orders at each end. The orders
+    form two families, ceil(alpha) - alpha + (n - ceil(alpha)) for n >= ceil(alpha)
+    and alpha - floor(alpha) + (floor(alpha) - n) below; one `_miller` call each."""
     z = cfg.k * cfg.r
-    ns = np.arange(-cfg.n_max, cfg.n_max + 1)
-    orders = np.abs(ns - flux.alpha)
-    if float(np.max(orders)) > NU_MAX or z > Z_MAX:
+    max_order = cfg.n_max + abs(flux.alpha)
+    if not (max_order <= NU_MAX) or not (z <= Z_MAX):
         raise OutOfEnvelope(
-            f"partial-wave orders up to {float(np.max(orders)):.1f} at k*r={z:.1f} "
+            f"partial-wave orders up to {max_order:.1f} at k*r={z:.1f} "
             f"leave the Bessel envelope"
         )
-    radial = np.array([bessel_j(float(s), z) for s in orders])
-    coefs = np.exp(-0.5j * math.pi * orders) * radial
+    lo, hi = math.floor(flux.alpha), math.ceil(flux.alpha)
+    ns = np.arange(-cfg.n_max, cfg.n_max + 1)
+    upper = ns >= hi
+    radial = np.empty(ns.size)
+    radial[upper] = _miller(hi - flux.alpha, z, max(cfg.n_max - hi, 0))[ns[upper] - hi]
+    radial[~upper] = _miller(flux.alpha - lo, z, max(cfg.n_max + lo, 0))[lo - ns[~upper]]
+    coefs = np.exp(-0.5j * math.pi * np.abs(ns - flux.alpha)) * radial
     tail = float(np.sum(np.abs(radial[:4])) + np.sum(np.abs(radial[-4:])))
     if tail > 1e-8:
         raise TruncationTooSmall(
@@ -193,23 +179,22 @@ def _wave_coefficients(flux: FluxParam, cfg: ScatterConfig) -> tuple[np.ndarray,
     return ns, coefs, tail
 
 
+def _psi(flux: FluxParam, cfg: ScatterConfig, thetas) -> tuple[np.ndarray, float]:
+    """psi(r, theta) at each of thetas, and the series tail bound."""
+    ns, coefs, tail = _wave_coefficients(flux, cfg)
+    thetas = np.asarray(thetas, dtype=float)
+    blocks = np.array_split(thetas, thetas.size // 1024 + 1)  # memory O(1024 * n_max)
+    values = [np.sum(coefs * np.exp(1j * np.multiply.outer(b, ns)), axis=-1) for b in blocks]
+    return np.concatenate(values), tail
+
+
 def partial_wave_psi(flux: FluxParam, cfg: ScatterConfig, theta: float) -> PartialWave:
     """psi(r, theta) from the truncated partial-wave sum, with its tail bound."""
-    ns, coefs, tail = _wave_coefficients(flux, cfg)
-    value = complex(np.sum(coefs * np.exp(1j * ns * theta)))
-    return PartialWave(value=value, tail_bound=tail)
-
-
-def _profile(flux: FluxParam, cfg: ScatterConfig) -> tuple[list[tuple[float, float]], float]:
-    """(theta, |psi(r, theta)|^2) over cfg.thetas, and the series tail bound."""
-    ns, coefs, tail = _wave_coefficients(flux, cfg)
-    out = []
-    for theta in cfg.thetas:
-        value = complex(np.sum(coefs * np.exp(1j * ns * theta)))
-        out.append((float(theta), abs(value) ** 2))
-    return out, tail
+    values, tail = _psi(flux, cfg, (theta,))
+    return PartialWave(value=complex(values[0]), tail_bound=tail)
 
 
 def scattering_profile(flux: FluxParam, cfg: ScatterConfig) -> list[tuple[float, float]]:
     """|psi(r, theta)|^2 over cfg.thetas; deterministic and order-independent."""
-    return _profile(flux, cfg)[0]
+    values, _ = _psi(flux, cfg, cfg.thetas)
+    return list(zip(map(float, cfg.thetas), (np.abs(values) ** 2).tolist()))

@@ -88,3 +88,18 @@ def test_missing_config_file(tmp_path, capsys):
     code = main(["two-slit", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path)])
     assert code == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment,text", [
+    ("two-slit", "alpha = nan\n"),
+    ("two-slit", "alpha = inf\n"),
+    ("scattering", "alpha = nan\n"),
+    ("scattering", "alpha = -inf\n"),
+    ("uncertainty", "widths = 0.3,nan\n"),
+])
+def test_non_finite_float_exit_code(tmp_path, capsys, experiment, text):
+    cfg = write_config(tmp_path, text)
+    code = main([experiment, "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cannot parse" in err

@@ -1,8 +1,10 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from modlab import (
     FluxParam,
@@ -14,6 +16,7 @@ from modlab import (
     scattering_profile,
 )
 from modlab.errors import OutOfEnvelope, TruncationTooSmall
+from modlab.scattering import _wave_coefficients
 
 # oracle values frozen from an extended-precision evaluation (40 digits)
 J_ONE_THIRD_AT_2 = 0.4429398181485762122504
@@ -48,6 +51,19 @@ def test_gamma_overflows_to_inf():
     assert gamma(250.0) == math.inf
 
 
+def test_gamma_raises_at_poles():
+    for s in (0.0, -1.0, -2.0, -7.0):
+        with pytest.raises(OutOfEnvelope):
+            gamma(s)
+    assert gamma(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-13)
+
+
+def test_log_gamma_rejects_non_positive():
+    for s in (0.0, -0.5, -3.0, math.nan):
+        with pytest.raises(OutOfEnvelope):
+            log_gamma(s)
+
+
 def test_log_gamma_against_stdlib():
     for s in np.linspace(0.01, 250.0, 499):
         s = float(s)
@@ -63,7 +79,7 @@ def test_bessel_at_zero_argument():
 
 
 def test_bessel_half_order_closed_form():
-    # J_{1/2}(z) = sqrt(2/(pi z)) sin z, exercised through both evaluation paths
+    # J_{1/2}(z) = sqrt(2/(pi z)) sin z, from small argument to the envelope edge
     assert bessel_j(0.5, math.pi / 2.0) == pytest.approx(J_HALF_AT_PI_HALF, abs=1e-12)
     for z in (0.5, 2.0, 7.5, 14.9, 16.0, 25.0, 120.0, 480.0):
         expected = math.sqrt(2.0 / (math.pi * z)) * math.sin(z)
@@ -85,6 +101,24 @@ def test_bessel_three_term_recurrence():
             lhs = bessel_j(nu - 1.0, z) + bessel_j(nu + 1.0, z)
             rhs = (2.0 * nu / z) * bessel_j(nu, z)
             assert abs(lhs - rhs) < 1e-9
+
+
+def test_bessel_envelope_sweep_against_scipy_and_mpmath():
+    rng = np.random.default_rng(20261018)
+    points = [(float(nu), float(z)) for nu, z in
+              zip(rng.uniform(0.0, 200.0, 1200), rng.uniform(0.0, 500.0, 1200))]
+    points += [(float(nu), float(z)) for nu, z in
+               zip(rng.uniform(0.0, 200.0, 300), 10.0 ** rng.uniform(-12.0, 1.5, 300))]
+    # exact zero, tiny arguments either side of the leading-term threshold,
+    # the former series/recurrence switch at z = 15, and the envelope corners
+    edges = (0.0, 1e-300, 1e-60, 0.99e-8, 1e-8, 1.01e-8, 14.99, 15.0, 15.01, 500.0)
+    points += [(nu, z) for nu in (0.0, 0.37, 1.0, 2.5, 99.99, 200.0) for z in edges]
+    values = np.array([bessel_j(nu, z) for nu, z in points])
+    nus, zs = np.array(points).T
+    assert np.max(np.abs(values - jv(nus, zs))) <= 1e-10
+    for i in rng.choice(len(points), 40, replace=False):
+        exact = float(mpmath.besselj(mpmath.mpf(nus[i]), mpmath.mpf(zs[i])))
+        assert abs(values[i] - exact) <= 1e-10
 
 
 def test_bessel_envelope():
@@ -147,6 +181,30 @@ def test_half_flux_reflection_pairing():
     a = partial_wave_psi(FluxParam(alpha), cfg, theta).value
     b = partial_wave_psi(FluxParam(1.0 - alpha), cfg, -theta).value
     assert abs(abs(a) - abs(b)) < 1e-9
+
+
+def test_wave_coefficients_match_scipy():
+    # the two order families |n - alpha| map back onto the right harmonics n
+    for kr in (10.0, 100.0):
+        for alpha in (0.0, 0.37, 1.0, -0.25, 2.5, 7.0):
+            cfg = config(r=kr, n_max=math.ceil(kr) + 50)
+            ns, coefs, _ = _wave_coefficients(FluxParam(alpha), cfg)
+            orders = np.abs(ns - alpha)
+            expected = jv(orders, kr) * np.exp(-0.5j * math.pi * orders)
+            assert np.max(np.abs(coefs - expected)) <= 1e-12
+
+
+def test_wave_coefficients_envelope_rejects_non_finite_flux():
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(OutOfEnvelope):
+            _wave_coefficients(FluxParam(alpha), config())
+
+
+def test_flux_beyond_n_max_hits_truncation_guard():
+    # one order family is empty when |alpha| > n_max; the guard still decides
+    for alpha in (60.0, -60.5):
+        with pytest.raises(TruncationTooSmall):
+            partial_wave_psi(FluxParam(alpha), config(n_max=50), 0.0)
 
 
 def test_truncation_convergence():
