@@ -6,8 +6,9 @@
 
 Config files are flat UTF-8 key/value text, one `key = value` per line, with
 `#` comments; keys and types are documented by `modlab list`. Exit codes:
-0 success, 1 I/O failure, 2 schema violation (including unknown experiment or
-key), 3 numerical guard failure.
+0 success, 1 I/O failure, 2 schema violation or argument error (including
+unknown experiment or key, and out-of-range values), 3 numerical guard
+failure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 from pathlib import Path
 
 from .errors import (
+    ArgumentError,
     IoFailure,
     ModlabError,
     SchemaViolation,
@@ -96,13 +98,12 @@ def main(argv: list[str] | None = None) -> int:
             out_dir=str(args.out),
             format=args.format,
         )
-        record = run(config)
+        record, out_path = run(config, with_path=True)
     except ModlabError as e:
         print(f"error: {e}", file=sys.stderr)
-        if isinstance(e, (SchemaViolation, UnknownExperiment)):
+        if isinstance(e, (ArgumentError, SchemaViolation, UnknownExperiment)):
             return EXIT_SCHEMA
         return 1 if isinstance(e, IoFailure) else EXIT_GUARD
-    out_path = Path(config.out_dir) / f"{record.experiment}-{config.seed}.{config.format}"
     print(f"wrote {out_path}")
     for key, value in record.summary.items():
         print(f"  {key} = {value:.6g}")

@@ -1,7 +1,8 @@
 """Exception and warning types shared across the package.
 
-NumericalGuardError marks failures of runtime numerical guards (as opposed
-to bad arguments); the CLI maps them to a dedicated exit code.
+ArgumentError marks a bad argument or configuration value and
+NumericalGuardError a runtime numerical guard that tripped; the CLI maps each
+to its own exit code.
 """
 
 
@@ -9,16 +10,20 @@ class ModlabError(Exception):
     """Base class for all package errors."""
 
 
+class ArgumentError(ModlabError, ValueError):
+    """An argument or configuration value is out of its documented range."""
+
+
 class NumericalGuardError(ModlabError):
     """A numerical guard tripped at run time."""
 
 
 # grid construction and transforms
-class NonPowerOfTwo(ModlabError):
+class NonPowerOfTwo(ArgumentError):
     pass
 
 
-class NonPositiveDomain(ModlabError):
+class NonPositiveDomain(ArgumentError):
     pass
 
 

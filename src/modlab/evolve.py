@@ -10,6 +10,7 @@ artifacts.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,7 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fft
-from .errors import GridMismatch, NonFiniteAmplitude, PhaseWrapWarning
+from .errors import (
+    ArgumentError,
+    GridMismatch,
+    NonFiniteAmplitude,
+    PhaseWrapWarning,
+)
 from .grid import (
     Amplitudes,
     Grid,
@@ -46,12 +52,12 @@ class PotentialSpec:
 
     def __post_init__(self):
         if self.kind not in _POTENTIAL_KINDS:
-            raise ValueError(f"kind must be one of {_POTENTIAL_KINDS}, got {self.kind!r}")
+            raise ArgumentError(f"kind must be one of {_POTENTIAL_KINDS}, got {self.kind!r}")
         if self.kind == "sampled":
             if self.samples is None:
-                raise ValueError("sampled potential needs samples")
+                raise ArgumentError("sampled potential needs samples")
             if not np.all(np.isfinite(self.samples)):
-                raise ValueError("potential samples must be finite")
+                raise ArgumentError("potential samples must be finite")
 
     @classmethod
     def zero(cls) -> "PotentialSpec":
@@ -90,7 +96,7 @@ class PropagatorConfig:
 
     def __post_init__(self):
         if not (self.dt > 0.0) or self.steps < 1 or not (self.mass > 0.0):
-            raise ValueError(
+            raise ArgumentError(
                 f"need dt > 0, steps >= 1, mass > 0; got dt={self.dt} "
                 f"steps={self.steps} mass={self.mass}"
             )
@@ -113,13 +119,21 @@ def propagate(
 def _strang(state: Amplitudes, v: np.ndarray, cfg: PropagatorConfig, every: int) -> list:
     """The Strang stepper shared by one- and two-particle evolution.
 
-    Each step multiplies by exp(-i v dt/2h), transforms over all axes, applies
-    the kinetic phase, transforms back and multiplies by exp(-i v dt/2h) again.
-    Returns states of the input's type at steps 0, every, ..., steps, each
-    checked for non-finite values.
+    It evolves a stack of rows and transforms over the last axis only. A
+    one-particle state is one row. A two-particle state is changed once into
+    its total-momentum sectors (`_to_sectors`): row J holds the amplitudes
+    over r = x1 - x2 at one total momentum p1 + p2, which H conserves, so
+    every row sees the same potential v(r) and its own kinetic phase
+    (p1^2 + p2^2) over p1. Snapshots go back to (x1, x2) through
+    `_from_sectors`; between snapshots the rows never leave their sectors.
+
+    Each step multiplies by exp(-i v dt/2h), transforms each row, applies the
+    kinetic phase, transforms back and multiplies by exp(-i v dt/2h) again.
+    Returns position-basis states of the input's type at steps 0, every, ...,
+    steps, each checked for non-finite values.
     """
-    if cfg.steps % every != 0:
-        raise ValueError("steps must be a multiple of snapshot_every")
+    if every < 1 or cfg.steps % every != 0:
+        raise ArgumentError("steps must be a multiple of snapshot_every >= 1")
     g = state.grid
     p2 = g.p_raw**2
     advance = cfg.dt * float(np.max(p2)) / (2.0 * cfg.mass * g.hbar)
@@ -129,22 +143,28 @@ def _strang(state: Amplitudes, v: np.ndarray, cfg: PropagatorConfig, every: int)
             PhaseWrapWarning,
             stacklevel=3,
         )
+    _check_finite(state.amps)
+    # `rows` is a private buffer, transformed in place
     if state.rank == 2:
-        p2 = np.add.outer(p2, p2)
+        p2 = p2 + circulant(p2)  # [J, j1]: p_raw[j1]^2 + p_raw[(J - j1) mod n]^2
+        shear = _shear(g.n)
+        rows = _to_sectors(state.amps, shear)
+        positions = functools.partial(_from_sectors, shear=shear)
+    else:
+        rows, positions = state.amps.copy(), np.copy
     half_v = np.exp(-0.5j * v * cfg.dt / g.hbar)
     kinetic = np.exp(-0.5j * p2 * cfg.dt / (cfg.mass * g.hbar))
-    amps = state.amps.copy()  # private buffer, transformed in place
-    _check_finite(amps)
-    snapshots = [type(state)(g, amps.copy())]
+    snapshots = [type(state)(g, state.amps.copy())]
     for step in range(1, cfg.steps + 1):
-        amps *= half_v
-        amps = _fft.fft(amps, overwrite=True)
-        amps *= kinetic
-        amps = _fft.ifft(amps, overwrite=True)
-        amps *= half_v
+        rows *= half_v
+        rows = _fft.fft(rows, axis=-1, overwrite=True)
+        rows *= kinetic
+        rows = _fft.ifft(rows, axis=-1, overwrite=True)
+        rows *= half_v
         if step % every == 0:
+            amps = positions(rows)
             _check_finite(amps)
-            snapshots.append(type(state)(g, amps.copy()))
+            snapshots.append(type(state)(g, amps))
     return snapshots
 
 
@@ -172,8 +192,30 @@ def product_state(psi1: WaveFunction, psi2: WaveFunction) -> TwoParticleState:
 
 
 def _difference_potential(grid: Grid, v12: PotentialSpec) -> np.ndarray:
-    """V(x1 - x2) with the periodic difference wrapped back onto the lattice."""
-    return circulant(v12.values(grid), lattice_steps(grid, grid.x0, "x0"))
+    """V(x1 - x2) as a function of the lattice index of r = x1 - x2 (mod n):
+    the samples of v12 on grid.x, rolled so index 0 is r = 0."""
+    return np.roll(v12.values(grid), lattice_steps(grid, grid.x0, "x0"))
+
+
+def _shear(n: int) -> np.ndarray:
+    """Flat indices with psi.ravel()[_shear(n)][i2, ir] = psi[(ir + i2) mod n, i2]:
+    the exact periodic change from (x1, x2) to (x2, r = x1 - x2) on the lattice."""
+    i2 = np.arange(n)[:, None]
+    return (i2 + np.arange(n)) % n * n + i2
+
+
+def _to_sectors(amps: np.ndarray, shear: np.ndarray) -> np.ndarray:
+    """Psi[i1, i2] -> rows [J, ir]: shear to (x2, r), then transform x2 to the
+    total-momentum index J. Entry [J, j1] of a row's transform holds the
+    momentum pair (p_raw[j1], p_raw[(J - j1) mod n]) of the 2-D lattice."""
+    return _fft.fft(np.take(amps, shear), axis=0, overwrite=True)
+
+
+def _from_sectors(rows: np.ndarray, shear: np.ndarray) -> np.ndarray:
+    """The inverse of `_to_sectors`; leaves `rows` untouched."""
+    amps = np.empty_like(rows)
+    amps.ravel()[shear] = _fft.ifft(rows, axis=0)
+    return amps
 
 
 TWO_PARTICLE_N_CAP = 512  # dense n x n amplitudes; keeps memory bounded
@@ -197,9 +239,23 @@ def translation_expect_two(
     state: TwoParticleState, L: float, k1: int = 1, k2: int = 1
 ) -> complex:
     """<exp(i (k1 p1 + k2 p2) L / hbar)> from the joint momentum density."""
-    g = state.grid
-    spectrum = _fft.fft(state.amps)
-    weights = np.abs(spectrum) ** 2
-    ph1 = np.exp(1j * g.p_raw * k1 * L / g.hbar)
-    ph2 = np.exp(1j * g.p_raw * k2 * L / g.hbar)
-    return complex((ph1 @ weights @ ph2) / np.sum(weights))
+    return _translation_two(_momentum_density(state), state.grid, L, k1, k2)
+
+
+def _momentum_density(state: TwoParticleState) -> np.ndarray:
+    """The joint momentum probabilities |Psi~(p1, p2)|^2, normalized to sum 1,
+    on the FFT-ordered lattice grid.p_raw along both axes."""
+    weights = np.abs(_fft.fft(state.amps)) ** 2
+    return weights / np.sum(weights)
+
+
+def _translation_two(density: np.ndarray, grid: Grid, L: float, k1: int, k2: int) -> complex:
+    """Contract a `_momentum_density` with exp(i (k1 p1 + k2 p2) L / hbar).
+
+    The real density meets the p2 phases in two real matrix-vector products:
+    a mixed complex @ real product would first copy the whole density to
+    complex.
+    """
+    ph1 = np.exp(1j * grid.p_raw * k1 * L / grid.hbar)
+    ph2 = np.exp(1j * grid.p_raw * k2 * L / grid.hbar)
+    return complex(ph1 @ (density @ ph2.real + 1j * (density @ ph2.imag)))

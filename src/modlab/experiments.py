@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .errors import (
+    ArgumentError,
     DisjointnessViolated,
     PeriodUnderResolved,
     RegimeViolation,
@@ -26,11 +28,12 @@ from .errors import (
 from .evolve import (
     PotentialSpec,
     PropagatorConfig,
+    _momentum_density,
+    _translation_two,
     free_far_field,
     product_state,
     propagate,
     propagate_two,
-    translation_expect_two,
 )
 from .grid import Grid, MomentumAmplitudes, make_grid, to_momentum
 from .observables import (
@@ -226,9 +229,9 @@ def classical_limit_experiment(
     total-variation distance from uniform must flatten away.
     """
     if any(h <= 0.0 for h in hbar_values):
-        raise ValueError("hbar values must be positive")
+        raise ArgumentError("hbar values must be positive")
     if any(b >= a for a, b in zip(hbar_values, hbar_values[1:])):
-        raise ValueError("hbar values must be strictly descending")
+        raise ArgumentError("hbar values must be strictly descending")
     psi = make_packet(grid, packet)
     weights = to_momentum(psi).density() * grid.dp
     cells, tvs = [], []
@@ -271,7 +274,7 @@ def random_walk_experiment(
     run is refused). The recoil reduced mod h/L stays bounded either way.
     """
     if n_repeats < 100:
-        raise ValueError(f"n_repeats must be >= 100, got {n_repeats}")
+        raise ArgumentError(f"n_repeats must be >= 100, got {n_repeats}")
     psi = make_grating(grid, grating)
     far = free_far_field(psi)
     h = 2.0 * math.pi * grid.hbar
@@ -496,14 +499,15 @@ def _run_two_particle(params: dict, seed: int) -> ExperimentRecord:
                                  * np.exp(-grid.x**2 / (2.0 * params["well_width"] ** 2)))
     cfg = PropagatorConfig(dt=params["dt"], steps=params["steps"], mass=params["mass"])
     snaps = propagate_two(state, well, cfg, snapshot_every=params["snapshot_every"])
-    t12_0 = translation_expect_two(snaps[0], L, 1, 1)
-    t1_0 = translation_expect_two(snaps[0], L, 1, 0)
     rows = {k: [] for k in ("step", "time", "re_t12", "im_t12", "t12_drift",
                             "re_t1", "im_t1", "t1_change")}
     for i, s in enumerate(snaps):
         step = i * params["snapshot_every"]
-        t12 = translation_expect_two(s, L, 1, 1)
-        t1 = translation_expect_two(s, L, 1, 0)
+        density = _momentum_density(s)
+        t12 = _translation_two(density, grid, L, 1, 1)
+        t1 = _translation_two(density, grid, L, 1, 0)
+        if i == 0:
+            t12_0, t1_0 = t12, t1
         rows["step"].append(step)
         rows["time"].append(step * params["dt"])
         rows["re_t12"].append(t12.real)
@@ -615,9 +619,12 @@ class ExperimentConfig:
     format: str = "csv"
 
 
-def run(config: ExperimentConfig) -> ExperimentRecord:
-    """Validate, dispatch, write the output file, and return the record."""
+def run(
+    config: ExperimentConfig, *, with_path: bool = False
+) -> ExperimentRecord | tuple[ExperimentRecord, Path]:
+    """Validate, dispatch, write the output file, and return the record, or
+    with `with_path` the pair (record, path of the file written)."""
     params = validate_params(config.name, config.params)
     record = _RUNNERS[config.name](params, config.seed)
-    write_record(record, config.out_dir, config.format, config.seed)
-    return record
+    path = write_record(record, config.out_dir, config.format, config.seed)
+    return (record, path) if with_path else record

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import _fft
 from .errors import (
+    ArgumentError,
     DegreeCap,
     DegreeOverflowWarning,
     InternalInconsistency,
@@ -76,7 +77,7 @@ def translation_expect(psi: WaveFunction, L: float, k: int = 1) -> complex:
     signals grid artifacts and raises InternalInconsistency.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ArgumentError(f"k must be >= 1, got {k}")
     g = psi.grid
     pos_val = inner(psi, translate(psi, k * L))
     weights = to_momentum(psi).density() * g.dp
@@ -112,7 +113,7 @@ def modular_distribution(
     psi: WaveFunction, L: float, bins: int = 32, k_max: int = 4
 ) -> ModularDistribution:
     if bins < 8:
-        raise ValueError(f"bins must be >= 8, got {bins}")
+        raise ArgumentError(f"bins must be >= 8, got {bins}")
     g = psi.grid
     period = 2.0 * math.pi * g.hbar / L
     if period < 4.0 * g.dp:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OutOfEnvelope, TruncationTooSmall
+from .errors import ArgumentError, OutOfEnvelope, TruncationTooSmall
 
 NU_MAX = 200.0
 Z_MAX = 500.0
@@ -141,10 +141,10 @@ class ScatterConfig:
 
     def __post_init__(self):
         if not (self.k > 0.0) or not (self.r > 0.0):
-            raise ValueError(f"need k > 0 and r > 0, got k={self.k} r={self.r}")
+            raise ArgumentError(f"need k > 0 and r > 0, got k={self.k} r={self.r}")
         n_floor = math.ceil(self.k * self.r) + 24
         if self.n_max < n_floor:
-            raise ValueError(f"n_max must be >= ceil(k*r) + 24 = {n_floor}")
+            raise ArgumentError(f"n_max must be >= ceil(k*r) + 24 = {n_floor}")
 
 
 class PartialWave(NamedTuple):

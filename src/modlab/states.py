@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    ArgumentError,
     BadInterval,
     DisjointnessViolated,
     EdgeMargin,
@@ -42,9 +43,9 @@ class PacketSpec:
 
     def __post_init__(self):
         if self.kind not in _PACKET_KINDS:
-            raise ValueError(f"kind must be one of {_PACKET_KINDS}, got {self.kind!r}")
+            raise ArgumentError(f"kind must be one of {_PACKET_KINDS}, got {self.kind!r}")
         if not (self.width > 0.0):
-            raise ValueError(f"width must be positive, got {self.width}")
+            raise ArgumentError(f"width must be positive, got {self.width}")
 
     def support_radius(self) -> float:
         # bump amplitudes are exactly zero outside center +- width; for a
@@ -65,16 +66,16 @@ class SlitArraySpec:
 
     def __post_init__(self):
         if self.m_slits < 2:
-            raise ValueError(f"m_slits must be >= 2, got {self.m_slits}")
+            raise ArgumentError(f"m_slits must be >= 2, got {self.m_slits}")
         if not (self.spacing > 0.0):
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+            raise ArgumentError(f"spacing must be positive, got {self.spacing}")
         if len(self.phases) != self.m_slits:
-            raise ValueError("need one phase per slit")
+            raise ArgumentError("need one phase per slit")
         if self.weights is not None:
             if len(self.weights) != self.m_slits:
-                raise ValueError("need one weight per slit")
+                raise ArgumentError("need one weight per slit")
             if any(w < 0.0 for w in self.weights):
-                raise ValueError("weights must be non-negative")
+                raise ArgumentError("weights must be non-negative")
 
 
 def _check_packet_fits(grid: Grid, spec: PacketSpec, support: tuple | None) -> None:

@@ -103,3 +103,23 @@ def test_non_finite_float_exit_code(tmp_path, capsys, experiment, text):
     assert code == EXIT_SCHEMA
     err = capsys.readouterr().err
     assert err.startswith("error:") and "cannot parse" in err
+
+
+@pytest.mark.parametrize("experiment,text", [
+    ("two-slit", "alpha = 0\nwidth = -1\n"),
+    ("two-slit", "alpha = 0\nkind = square\n"),
+    ("two-slit", "alpha = 0\nn = 1000\n"),
+    ("random-walk", "n_electrons = 10\nn_repeats = 3\n"),
+    ("scattering", "alpha = 0.5\nk = -1\n"),
+    ("scattering", "alpha = 0.5\nn_max = 5\n"),
+    ("two-particle", "steps = 20\nsnapshot_every = 7\n"),
+    ("two-particle", "steps = 20\nsnapshot_every = 0\n"),
+])
+def test_argument_error_exit_code(tmp_path, capsys, experiment, text):
+    # out-of-range values are argument errors: exit 2 with one error line
+    cfg = write_config(tmp_path, text)
+    code = main([experiment, "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not list(tmp_path.glob(f"{experiment}-*"))
