@@ -68,8 +68,9 @@ def print_schemas(stream=None) -> None:
                 default = "default " + ",".join(str(v) for v in spec.default)
             else:
                 default = f"default {spec.default}"
+            bound = f", min {spec.lo}" if spec.lo is not None else ""
             help_text = f"  {spec.help}" if spec.help else ""
-            print(f"  {key}: {spec.kind}, {default}{help_text}", file=stream)
+            print(f"  {key}: {spec.kind}, {default}{bound}{help_text}", file=stream)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -14,6 +14,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -116,7 +117,18 @@ def propagate(
     return _strang(psi, V.values(psi.grid), cfg, snapshot_every)
 
 
-def _strang(state: Amplitudes, v: np.ndarray, cfg: PropagatorConfig, every: int) -> list:
+# input probability allowed on momenta whose phase per step reaches pi: far
+# above FFT roundoff, below the ~8e-7 of a unit-width packet at dt = 1
+PHASE_WRAP_PROBABILITY = 1e-8
+
+
+def _strang(
+    state: Amplitudes,
+    v: np.ndarray,
+    cfg: PropagatorConfig,
+    every: int,
+    observe: Callable[[np.ndarray], object] | None = None,
+) -> list:
     """The Strang stepper shared by one- and two-particle evolution.
 
     It evolves a stack of rows and transforms over the last axis only. A
@@ -124,26 +136,31 @@ def _strang(state: Amplitudes, v: np.ndarray, cfg: PropagatorConfig, every: int)
     its total-momentum sectors (`_to_sectors`): row J holds the amplitudes
     over r = x1 - x2 at one total momentum p1 + p2, which H conserves, so
     every row sees the same potential v(r) and its own kinetic phase
-    (p1^2 + p2^2) over p1. Snapshots go back to (x1, x2) through
-    `_from_sectors`; between snapshots the rows never leave their sectors.
+    (p1^2 + p2^2) over p1. Between snapshots the rows never leave their
+    sectors, and one transform over r gives the joint momentum amplitudes:
+    entry [J, j1] of `fft(rows, axis=-1)` is the amplitude at
+    (p_raw[j1], p_raw[(J - j1) mod n]).
 
     Each step multiplies by exp(-i v dt/2h), transforms each row, applies the
     kinetic phase, transforms back and multiplies by exp(-i v dt/2h) again.
-    Returns position-basis states of the input's type at steps 0, every, ...,
-    steps, each checked for non-finite values.
+
+    At steps 0, every, ..., steps the stepper hands its rows to `observe` and
+    returns the list of what it returned. `observe` must not modify the rows.
+    By default it returns position-basis states of the input's type (rows
+    changed back to (x1, x2) through `_from_sectors`), each checked for
+    non-finite values; snapshot 0 is then a copy of the input.
+
+    Phase-wrap contract: the kinetic phase per step, p^2 dt/2mh (for two
+    particles (p1^2 + p2^2) dt/2mh), is ambiguous once it reaches pi. The
+    stepper warns with `PhaseWrapWarning` when the input puts more than
+    `PHASE_WRAP_PROBABILITY` of its probability, measured in the basis it
+    steps in, on lattice momenta whose phase per step is at least pi.
     """
     if every < 1 or cfg.steps % every != 0:
         raise ArgumentError("steps must be a multiple of snapshot_every >= 1")
+    _check_finite(state.amps)
     g = state.grid
     p2 = g.p_raw**2
-    advance = cfg.dt * float(np.max(p2)) / (2.0 * cfg.mass * g.hbar)
-    if advance >= math.pi:
-        warnings.warn(
-            f"kinetic phase advance {advance:.3g} rad/step exceeds the pi wrap guard",
-            PhaseWrapWarning,
-            stacklevel=3,
-        )
-    _check_finite(state.amps)
     # `rows` is a private buffer, transformed in place
     if state.rank == 2:
         p2 = p2 + circulant(p2)  # [J, j1]: p_raw[j1]^2 + p_raw[(J - j1) mod n]^2
@@ -152,9 +169,29 @@ def _strang(state: Amplitudes, v: np.ndarray, cfg: PropagatorConfig, every: int)
         positions = functools.partial(_from_sectors, shear=shear)
     else:
         rows, positions = state.amps.copy(), np.copy
+    wrapped = p2 * (cfg.dt / (2.0 * cfg.mass * g.hbar)) >= math.pi
+    if np.any(wrapped):
+        weights = np.abs(_fft.fft(rows, axis=-1)) ** 2
+        share, total = np.sum(weights[wrapped]), np.sum(weights)
+        if share > PHASE_WRAP_PROBABILITY * total:
+            warnings.warn(
+                f"{share / total:.3g} of the probability sits on momenta whose "
+                "kinetic phase advance reaches pi rad/step",
+                PhaseWrapWarning,
+                stacklevel=3,
+            )
     half_v = np.exp(-0.5j * v * cfg.dt / g.hbar)
     kinetic = np.exp(-0.5j * p2 * cfg.dt / (cfg.mass * g.hbar))
-    snapshots = [type(state)(g, state.amps.copy())]
+
+    if observe is None:
+        def observe(rows):
+            amps = positions(rows)
+            _check_finite(amps)
+            return type(state)(g, amps)
+
+        snapshots = [type(state)(g, state.amps.copy())]
+    else:
+        snapshots = [observe(rows)]
     for step in range(1, cfg.steps + 1):
         rows *= half_v
         rows = _fft.fft(rows, axis=-1, overwrite=True)
@@ -162,9 +199,7 @@ def _strang(state: Amplitudes, v: np.ndarray, cfg: PropagatorConfig, every: int)
         rows = _fft.ifft(rows, axis=-1, overwrite=True)
         rows *= half_v
         if step % every == 0:
-            amps = positions(rows)
-            _check_finite(amps)
-            snapshots.append(type(state)(g, amps))
+            snapshots.append(observe(rows))
     return snapshots
 
 
@@ -191,9 +226,17 @@ def product_state(psi1: WaveFunction, psi2: WaveFunction) -> TwoParticleState:
     return TwoParticleState(psi1.grid, np.outer(psi1.amps, psi2.amps)).normalized()
 
 
-def _difference_potential(grid: Grid, v12: PotentialSpec) -> np.ndarray:
+TWO_PARTICLE_N_CAP = 512  # dense n x n amplitudes; keeps memory bounded
+
+
+def _two_particle_potential(grid: Grid, v12: PotentialSpec) -> np.ndarray:
     """V(x1 - x2) as a function of the lattice index of r = x1 - x2 (mod n):
-    the samples of v12 on grid.x, rolled so index 0 is r = 0."""
+    the samples of v12 on grid.x, rolled so index 0 is r = 0. It holds the
+    guards of every two-particle run: the grid cap and a lattice origin."""
+    if grid.n > TWO_PARTICLE_N_CAP:
+        raise GridMismatch(
+            f"two-particle grids are capped at n <= {TWO_PARTICLE_N_CAP} per axis"
+        )
     return np.roll(v12.values(grid), lattice_steps(grid, grid.x0, "x0"))
 
 
@@ -218,9 +261,6 @@ def _from_sectors(rows: np.ndarray, shear: np.ndarray) -> np.ndarray:
     return amps
 
 
-TWO_PARTICLE_N_CAP = 512  # dense n x n amplitudes; keeps memory bounded
-
-
 def propagate_two(
     state: TwoParticleState,
     v12: PotentialSpec,
@@ -228,34 +268,37 @@ def propagate_two(
     snapshot_every: int = 1,
 ) -> list[TwoParticleState]:
     """Strang-split two-particle evolution under H = (p1^2 + p2^2)/2m + V(x1 - x2)."""
-    if state.grid.n > TWO_PARTICLE_N_CAP:
-        raise GridMismatch(
-            f"two-particle grids are capped at n <= {TWO_PARTICLE_N_CAP} per axis"
-        )
-    return _strang(state, _difference_potential(state.grid, v12), cfg, snapshot_every)
+    return _strang(state, _two_particle_potential(state.grid, v12), cfg, snapshot_every)
+
+
+def _sector_translations(rows: np.ndarray, grid: Grid, L: float) -> tuple[complex, complex]:
+    """<exp(i (p1 + p2) L / hbar)> and <exp(i p1 L / hbar)> read from `_strang`'s
+    two-particle rows, which are checked for non-finite values first.
+
+    The joint momentum probabilities are |fft(rows, axis=-1)|^2, with entry
+    [J, j1] at (p_raw[j1], p_raw[(J - j1) mod n]). L is a lattice multiple, so
+    exp(i (p1 + p2) L / hbar) equals exp(i p_raw[J] L / hbar) exactly, lattice
+    aliasing included: the first expectation needs only the weight of each
+    row, and the second the weight of each column.
+    """
+    _check_finite(rows)
+    weights = np.abs(_fft.fft(rows, axis=-1)) ** 2
+    phase = np.exp(1j * grid.p_raw * L / grid.hbar) / np.sum(weights)
+    return complex(phase @ np.sum(weights, axis=1)), complex(phase @ np.sum(weights, axis=0))
 
 
 def translation_expect_two(
     state: TwoParticleState, L: float, k1: int = 1, k2: int = 1
 ) -> complex:
-    """<exp(i (k1 p1 + k2 p2) L / hbar)> from the joint momentum density."""
-    return _translation_two(_momentum_density(state), state.grid, L, k1, k2)
-
-
-def _momentum_density(state: TwoParticleState) -> np.ndarray:
-    """The joint momentum probabilities |Psi~(p1, p2)|^2, normalized to sum 1,
-    on the FFT-ordered lattice grid.p_raw along both axes."""
-    weights = np.abs(_fft.fft(state.amps)) ** 2
-    return weights / np.sum(weights)
-
-
-def _translation_two(density: np.ndarray, grid: Grid, L: float, k1: int, k2: int) -> complex:
-    """Contract a `_momentum_density` with exp(i (k1 p1 + k2 p2) L / hbar).
+    """<exp(i (k1 p1 + k2 p2) L / hbar)> from the joint momentum density.
 
     The real density meets the p2 phases in two real matrix-vector products:
     a mixed complex @ real product would first copy the whole density to
     complex.
     """
+    grid = state.grid
+    weights = np.abs(_fft.fft(state.amps)) ** 2
+    density = weights / np.sum(weights)
     ph1 = np.exp(1j * grid.p_raw * k1 * L / grid.hbar)
     ph2 = np.exp(1j * grid.p_raw * k2 * L / grid.hbar)
     return complex(ph1 @ (density @ ph2.real + 1j * (density @ ph2.imag)))

@@ -9,6 +9,7 @@ resolved parameter map into the record, and is byte-reproducible for a fixed
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -28,12 +29,12 @@ from .errors import (
 from .evolve import (
     PotentialSpec,
     PropagatorConfig,
-    _momentum_density,
-    _translation_two,
+    _sector_translations,
+    _strang,
+    _two_particle_potential,
     free_far_field,
     product_state,
     propagate,
-    propagate_two,
 )
 from .grid import Grid, MomentumAmplitudes, make_grid, to_momentum
 from .observables import (
@@ -65,6 +66,7 @@ class Param:
     kind: str  # 'int' | 'float' | 'str' | 'floats'
     default: object = _REQUIRED
     help: str = ""
+    lo: int | None = None  # smallest allowed value of an 'int'
 
 
 def _finite(raw) -> float:
@@ -89,11 +91,19 @@ def _coerce(name: str, spec: Param, raw) -> object:
         raise SchemaViolation(f"parameter {name!r}: cannot parse {raw!r} as {spec.kind}") from e
 
 
+def _check_bounds(name: str, spec: Param, value) -> None:
+    if spec.kind == "floats" and not value:
+        raise SchemaViolation(f"parameter {name!r}: needs at least one value")
+    if spec.lo is not None and value < spec.lo:
+        raise SchemaViolation(f"parameter {name!r}: must be >= {spec.lo}, got {value}")
+
+
 def validate_params(name: str, raw: dict) -> dict:
     """Coerce raw key/value pairs against the schema of the named experiment.
 
     Unknown keys are errors; every missing required key is reported in one
-    SchemaViolation message.
+    SchemaViolation message. An int below its schema minimum and an empty
+    list of floats are SchemaViolations too.
     """
     schema = schema_for(name)
     problems = []
@@ -110,6 +120,7 @@ def validate_params(name: str, raw: dict) -> dict:
     out = {}
     for key, spec in schema.items():
         out[key] = _coerce(key, spec, raw[key] if key in raw else spec.default)
+        _check_bounds(key, spec, out[key])
     return out
 
 
@@ -417,7 +428,7 @@ def _run_grating(params: dict, seed: int) -> ExperimentRecord:
     "mass": Param("float", 1.0),
     "dt": Param("float", 1e-3, "coarsest time step"),
     "steps": Param("int", 160, "steps at the coarsest level"),
-    "levels": Param("int", 3, "number of dt-halving levels"),
+    "levels": Param("int", 3, "number of dt-halving levels", lo=1),
 })
 def _run_eom_check(params: dict, seed: int) -> ExperimentRecord:
     grid = _grid_from(params)
@@ -466,7 +477,7 @@ def _run_uncertainty(params: dict, seed: int) -> ExperimentRecord:
     "p0": Param("float", 0.0),
     "hbar_values": Param("floats", [1.0 / 2**i for i in range(8)],
                          "descending hbar sweep"),
-    "bins": Param("int", 32),
+    "bins": Param("int", 32, "fold bins for the distance from uniform", lo=8),
 })
 def _run_classical_limit(params: dict, seed: int) -> ExperimentRecord:
     grid = make_grid(params["n"], -params["length"] / 2.0, params["length"],
@@ -498,16 +509,13 @@ def _run_two_particle(params: dict, seed: int) -> ExperimentRecord:
     well = PotentialSpec.sampled(-params["well_depth"]
                                  * np.exp(-grid.x**2 / (2.0 * params["well_width"] ** 2)))
     cfg = PropagatorConfig(dt=params["dt"], steps=params["steps"], mass=params["mass"])
-    snaps = propagate_two(state, well, cfg, snapshot_every=params["snapshot_every"])
+    pairs = _strang(state, _two_particle_potential(grid, well), cfg, params["snapshot_every"],
+                    functools.partial(_sector_translations, grid=grid, L=L))
+    t12_0, t1_0 = pairs[0]
     rows = {k: [] for k in ("step", "time", "re_t12", "im_t12", "t12_drift",
                             "re_t1", "im_t1", "t1_change")}
-    for i, s in enumerate(snaps):
+    for i, (t12, t1) in enumerate(pairs):
         step = i * params["snapshot_every"]
-        density = _momentum_density(s)
-        t12 = _translation_two(density, grid, L, 1, 1)
-        t1 = _translation_two(density, grid, L, 1, 0)
-        if i == 0:
-            t12_0, t1_0 = t12, t1
         rows["step"].append(step)
         rows["time"].append(step * params["dt"])
         rows["re_t12"].append(t12.real)
@@ -529,7 +537,7 @@ def _run_two_particle(params: dict, seed: int) -> ExperimentRecord:
     "alpha": Param("float", _REQUIRED, "enclosed flux in flux quanta"),
     "k": Param("float", 1.0, "wavenumber"),
     "r": Param("float", 10.0, "detection radius"),
-    "n_thetas": Param("int", 64, "evaluation angles over [-pi, pi)"),
+    "n_thetas": Param("int", 64, "evaluation angles over [-pi, pi)", lo=1),
     "n_max": Param("int", 0, "series truncation; 0 means ceil(k*r) + 40"),
 })
 def _run_scattering(params: dict, seed: int) -> ExperimentRecord:
@@ -557,7 +565,7 @@ def _run_scattering(params: dict, seed: int) -> ExperimentRecord:
     "spacing": Param("float", 8.0),
     "width": Param("float", 2.0, "packet width (wide packet, narrow envelope)"),
     "kind": Param("str", "gaussian"),
-    "n_electrons": Param("int", _REQUIRED),
+    "n_electrons": Param("int", _REQUIRED, lo=1),
     "n_repeats": Param("int", _REQUIRED),
     "strict": Param("int", 0, "1: refuse runs outside the two-point regime"),
 })
@@ -581,7 +589,7 @@ def _run_random_walk(params: dict, seed: int) -> ExperimentRecord:
     "spacing": Param("float", 8.0, "translation length L"),
     "width": Param("float", 2.0, "bump half-support or gaussian sigma"),
     "alpha": Param("float", 0.0, "relative phase in two-bump mode"),
-    "orders": Param("int", 40),
+    "orders": Param("int", 40, "highest partial-sum order", lo=0),
 })
 def _run_taylor_demo(params: dict, seed: int) -> ExperimentRecord:
     grid = _grid_from(params)

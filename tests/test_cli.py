@@ -20,6 +20,13 @@ def test_list_command(capsys):
     assert "(required)" in out
 
 
+def test_list_prints_minimums(capsys):
+    assert main(["list"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "bins: int, default 32, min 8" in out
+    assert "n_electrons: int, (required), min 1" in out
+
+
 def test_read_config_parsing(tmp_path):
     path = write_config(tmp_path, "# comment\nalpha = 3.14\n\nwidth=1.5\n")
     assert read_config(path) == {"alpha": "3.14", "width": "1.5"}
@@ -114,9 +121,17 @@ def test_non_finite_float_exit_code(tmp_path, capsys, experiment, text):
     ("scattering", "alpha = 0.5\nn_max = 5\n"),
     ("two-particle", "steps = 20\nsnapshot_every = 7\n"),
     ("two-particle", "steps = 20\nsnapshot_every = 0\n"),
+    ("classical-limit", "bins = 0\n"),
+    ("classical-limit", "hbar_values =\n"),
+    ("taylor-demo", "mode = gaussian\norders = -1\n"),
+    ("eom-check", "levels = 0\n"),
+    ("scattering", "alpha = 0.5\nn_thetas = 0\n"),
+    ("random-walk", "n_electrons = 0\nn_repeats = 100\n"),
+    ("uncertainty", "widths =\n"),
 ])
 def test_argument_error_exit_code(tmp_path, capsys, experiment, text):
-    # out-of-range values are argument errors: exit 2 with one error line
+    # out-of-range values and degenerate counts are argument errors: exit 2
+    # with one error line and no traceback
     cfg = write_config(tmp_path, text)
     code = main([experiment, "--config", str(cfg), "--out", str(tmp_path)])
     assert code == EXIT_SCHEMA

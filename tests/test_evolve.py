@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from modlab.errors import (
     PhaseWrapWarning,
     ZeroState,
 )
+from modlab.evolve import _sector_translations, _strang, _two_particle_potential
 
 
 def test_free_particle_drift():
@@ -108,6 +110,18 @@ def test_phase_wrap_warning():
     psi = make_packet(g, PacketSpec("gaussian", 0.0, 1.0))
     with pytest.warns(PhaseWrapWarning):
         propagate(psi, PotentialSpec.zero(), PropagatorConfig(dt=1.0, steps=1))
+
+
+def test_phase_wrap_warning_two_particle():
+    # a 1-D step advances at most 0.6 pi here, but p1^2 + p2^2 reaches twice
+    # that at the corners, where a broad two-particle state has weight
+    g = make_grid(128, -16.0, 32.0)
+    dt = 1.2 * math.pi / float(np.max(g.p_raw**2))
+    rng = np.random.default_rng(11)
+    amps = rng.standard_normal((g.n, g.n)) + 1j * rng.standard_normal((g.n, g.n))
+    state = TwoParticleState(g, amps).normalized()
+    with pytest.warns(PhaseWrapWarning):
+        propagate_two(state, PotentialSpec.zero(), PropagatorConfig(dt=dt, steps=1))
 
 
 def test_non_finite_amplitude_detected():
@@ -260,6 +274,28 @@ def test_two_particle_matches_explicit_2d_strang(x0):
     assert len(snaps) == len(expected) == 5
     for s, e in zip(snaps, expected):
         assert np.max(np.abs(s.amps - e)) < 1e-12
+
+
+def test_sector_translations_match_public_route():
+    # unequal momenta give a total-momentum density that is not even in P,
+    # so a mirrored sector index or swapped marginals would show
+    g = make_grid(256, -16.0, 32.0)
+    a = make_packet(g, PacketSpec("gaussian", -3.0, 1.0, 2.5))
+    b = make_packet(g, PacketSpec("gaussian", 3.0, 0.7, -1.0))
+    state = product_state(a, b)
+    v = PotentialSpec.sampled(_asymmetric_v(g.x))
+    cfg = PropagatorConfig(dt=0.005, steps=60)
+    L = 2.0
+    pairs = _strang(state, _two_particle_potential(g, v), cfg, 20,
+                    functools.partial(_sector_translations, grid=g, L=L))
+    snaps = propagate_two(state, v, cfg, snapshot_every=20)
+    assert len(pairs) == len(snaps) == 4
+    for (t12, t1), s in zip(pairs, snaps):
+        assert abs(t12 - translation_expect_two(s, L, 1, 1)) < 1e-12
+        assert abs(t1 - translation_expect_two(s, L, 1, 0)) < 1e-12
+    assert abs(pairs[0][0].imag) > 0.01
+    with pytest.raises(NonFiniteAmplitude):
+        _sector_translations(np.full((g.n, g.n), np.nan, dtype=complex), g, L)
 
 
 def test_far_field_is_momentum_distribution():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,17 +9,24 @@ from modlab import (
     ExperimentConfig,
     MomentumAmplitudes,
     PacketSpec,
+    PotentialSpec,
+    PropagatorConfig,
     SlitArraySpec,
     classical_limit_experiment,
     make_grid,
+    make_packet,
+    product_state,
+    propagate_two,
     random_walk_experiment,
     run,
     sample_detections,
+    translation_expect_two,
     uncertainty_experiment,
 )
 from modlab.errors import (
     DisjointnessViolated,
     PeriodUnderResolved,
+    PhaseWrapWarning,
     RegimeViolation,
     SchemaViolation,
     UnknownExperiment,
@@ -265,6 +273,46 @@ def test_run_two_particle_runner(tmp_path):
         out_dir=str(tmp_path),
     ))
     assert rec.summary["max_t12_drift"] < 1e-10
+
+
+@pytest.mark.parametrize("params", [
+    {"steps": "40"},
+    {"hbar": "0.5", "spacing": "4", "steps": "30", "snapshot_every": "5"},
+])
+def test_run_two_particle_matches_public_route(tmp_path, params):
+    # oracle: the runner's state evolved by propagate_two, each snapshot
+    # measured by translation_expect_two
+    rec = run(ExperimentConfig(name="two-particle", params=params, out_dir=str(tmp_path)))
+    p = validate_params("two-particle", params)
+    g = make_grid(p["n"], -p["length"] / 2.0, p["length"], p["hbar"])
+    a = p["separation"] / 2.0
+    state = product_state(
+        make_packet(g, PacketSpec("gaussian", -a, p["sigma"], p["p_approach"])),
+        make_packet(g, PacketSpec("gaussian", +a, p["sigma"], -p["p_approach"])),
+    )
+    well = PotentialSpec.sampled(-p["well_depth"] * np.exp(-g.x**2 / (2.0 * p["well_width"] ** 2)))
+    snaps = propagate_two(state, well, PropagatorConfig(p["dt"], p["steps"], p["mass"]),
+                          snapshot_every=p["snapshot_every"])
+    L = p["spacing"]
+    t12 = np.array([translation_expect_two(s, L, 1, 1) for s in snaps])
+    t1 = np.array([translation_expect_two(s, L, 1, 0) for s in snaps])
+    expected = {
+        "step": p["snapshot_every"] * np.arange(len(snaps)),
+        "re_t12": t12.real, "im_t12": t12.imag, "t12_drift": np.abs(t12 - t12[0]),
+        "re_t1": t1.real, "im_t1": t1.imag, "t1_change": np.abs(t1 - t1[0]),
+    }
+    for key, want in expected.items():
+        assert len(rec.columns[key]) == len(want)
+        assert np.max(np.abs(rec.columns[key] - want)) < 1e-12, key
+
+
+def test_run_two_particle_defaults_do_not_warn(tmp_path):
+    # the phase-wrap guard reads only the input state and dt, so a short run
+    # at the default grid, packets and dt sees what a full default run sees
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", PhaseWrapWarning)
+        run(ExperimentConfig(name="two-particle", params={"steps": "20"},
+                             out_dir=str(tmp_path)))
 
 
 def test_run_random_walk_runner(tmp_path):
