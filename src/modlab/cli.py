@@ -17,13 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import (
-    ArgumentError,
-    IoFailure,
-    ModlabError,
-    SchemaViolation,
-    UnknownExperiment,
-)
+from .errors import ArgumentError, IoFailure, ModlabError, SchemaViolation
 from .experiments import (
     _REQUIRED,
     ExperimentConfig,
@@ -69,6 +63,8 @@ def print_schemas(stream=None) -> None:
             else:
                 default = f"default {spec.default}"
             bound = f", min {spec.lo}" if spec.lo is not None else ""
+            if spec.choices:
+                bound += ", one of " + "|".join(spec.choices)
             help_text = f"  {spec.help}" if spec.help else ""
             print(f"  {key}: {spec.kind}, {default}{bound}{help_text}", file=stream)
 
@@ -102,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         record, out_path = run(config, with_path=True)
     except ModlabError as e:
         print(f"error: {e}", file=sys.stderr)
-        if isinstance(e, (ArgumentError, SchemaViolation, UnknownExperiment)):
+        if isinstance(e, ArgumentError):
             return EXIT_SCHEMA
         return 1 if isinstance(e, IoFailure) else EXIT_GUARD
     print(f"wrote {out_path}")

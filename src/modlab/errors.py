@@ -70,7 +70,7 @@ class PeriodUnderResolved(NumericalGuardError):
     pass
 
 
-class DegreeCap(ModlabError):
+class DegreeCap(ArgumentError):
     pass
 
 
@@ -109,11 +109,11 @@ class TruncationTooSmall(NumericalGuardError):
 
 
 # experiment runner
-class UnknownExperiment(ModlabError):
+class UnknownExperiment(ArgumentError):
     pass
 
 
-class SchemaViolation(ModlabError):
+class SchemaViolation(ArgumentError):
     pass
 
 

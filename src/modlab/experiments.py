@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -36,7 +36,7 @@ from .evolve import (
     product_state,
     propagate,
 )
-from .grid import Grid, MomentumAmplitudes, make_grid, to_momentum
+from .grid import Grid, MomentumAmplitudes, lattice_steps, make_grid, to_momentum
 from .observables import (
     eom_residual,
     fold_density,
@@ -48,11 +48,15 @@ from .observables import (
 )
 from .records import ExperimentRecord, write_record
 from .rng import GENERATOR_NAME, counter_uniform
-from .states import PacketSpec, SlitArraySpec, make_grating, make_packet, make_two_slit
+from .states import PacketSpec, SlitArraySpec, make_grating, make_packet
 
 
-def _provenance(seed: int) -> str:
-    return f"modlab {__version__} seed={seed} rng={GENERATOR_NAME}"
+def _record(name: str, params_echo: dict, seed: int, columns: dict,
+            summary: dict) -> ExperimentRecord:
+    """The one place a record is built: columns as arrays, provenance stamped."""
+    columns = {k: np.asarray(v) for k, v in columns.items()}
+    provenance = f"modlab {__version__} seed={seed} rng={GENERATOR_NAME}"
+    return ExperimentRecord(name, params_echo, columns, provenance, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +71,7 @@ class Param:
     default: object = _REQUIRED
     help: str = ""
     lo: int | None = None  # smallest allowed value of an 'int'
+    choices: tuple[str, ...] = ()  # allowed values of a 'str', when not empty
 
 
 def _finite(raw) -> float:
@@ -96,14 +101,18 @@ def _check_bounds(name: str, spec: Param, value) -> None:
         raise SchemaViolation(f"parameter {name!r}: needs at least one value")
     if spec.lo is not None and value < spec.lo:
         raise SchemaViolation(f"parameter {name!r}: must be >= {spec.lo}, got {value}")
+    if spec.choices and value not in spec.choices:
+        raise SchemaViolation(
+            f"parameter {name!r}: must be one of {', '.join(spec.choices)}, got {value!r}"
+        )
 
 
 def validate_params(name: str, raw: dict) -> dict:
     """Coerce raw key/value pairs against the schema of the named experiment.
 
     Unknown keys are errors; every missing required key is reported in one
-    SchemaViolation message. An int below its schema minimum and an empty
-    list of floats are SchemaViolations too.
+    SchemaViolation message. An int below its minimum, a string outside its
+    choices and an empty list of floats are SchemaViolations too.
     """
     schema = schema_for(name)
     problems = []
@@ -133,6 +142,16 @@ _GRID_PARAMS = {
 
 def _grid_from(params: dict) -> Grid:
     return make_grid(params["n"], -params["length"] / 2.0, params["length"], params["hbar"])
+
+
+def _centered_array(m: int, spacing: float, kind: str, width: float,
+                    phases: tuple[float, ...], p0: float = 0.0) -> SlitArraySpec:
+    """m packets `spacing` apart, centered on the origin."""
+    return SlitArraySpec(
+        m_slits=m, spacing=spacing,
+        packet=PacketSpec(kind=kind, center=-(m - 1) * spacing / 2.0, width=width, p0=p0),
+        phases=phases,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -206,22 +225,19 @@ def uncertainty_experiment(
         **{f"c{k}": [] for k in range(1, k_max + 1)},
     }
     for w in widths:
-        packet = PacketSpec(kind="bump", center=-L / 2.0, width=w)
         single = make_packet(grid, PacketSpec(kind="bump", center=0.0, width=w))
         md = modular_distribution(single, L, bins=bins, k_max=k_max)
-        two = make_two_slit(grid, L, packet, alpha=0.0)
+        two = make_grating(grid, _centered_array(2, L, "bump", w, (0.0, 0.0)))
         cols["width"].append(w)
         for k in range(1, k_max + 1):
             cols[f"c{k}"].append(abs(md.fourier[k - 1]))
         cols["tv_uniform"].append(md.tv_from_uniform())
         cols["c1_two_slit"].append(abs(translation_expect(two, L)))
-    return ExperimentRecord(
-        experiment="uncertainty",
-        params_echo={"L": L, "widths": widths, "bins": bins, "k_max": k_max,
-                     "n": grid.n, "length": grid.length, "hbar": grid.hbar},
-        columns={k: np.asarray(v) for k, v in cols.items()},
-        provenance=_provenance(seed),
-        summary={"bin_quadrature_bound": 1.0 / (2.0 * bins)},
+    return _record(
+        "uncertainty",
+        {"L": L, "widths": widths, "bins": bins, "k_max": k_max,
+         "n": grid.n, "length": grid.length, "hbar": grid.hbar},
+        seed, cols, {"bin_quadrature_bound": 1.0 / (2.0 * bins)},
     )
 
 
@@ -255,15 +271,13 @@ def classical_limit_experiment(
             )
         cells.append(cell)
         tvs.append(tv_from_uniform(fold_density(grid.p, weights, cell, bins)))
-    return ExperimentRecord(
-        experiment="classical-limit",
-        params_echo={"L": L, "hbar_values": hbar_values, "bins": bins,
-                     "kind": packet.kind, "width": packet.width, "p0": packet.p0,
-                     "n": grid.n, "length": grid.length, "hbar": grid.hbar},
-        columns={"hbar": np.asarray(hbar_values), "cell": np.asarray(cells),
-                 "tv_uniform": np.asarray(tvs)},
-        provenance=_provenance(seed),
-        summary={"tv_final": tvs[-1], "tv_first": tvs[0]},
+    return _record(
+        "classical-limit",
+        {"L": L, "hbar_values": hbar_values, "bins": bins,
+         "kind": packet.kind, "width": packet.width, "p0": packet.p0,
+         "n": grid.n, "length": grid.length, "hbar": grid.hbar},
+        seed, {"hbar": hbar_values, "cell": cells, "tv_uniform": tvs},
+        {"tv_final": tvs[-1], "tv_first": tvs[0]},
     )
 
 
@@ -313,27 +327,25 @@ def random_walk_experiment(
         var_p = float(np.sum(weights * grid.p**2)) - mean_p**2
         predicted = math.sqrt(n_electrons * var_p)
     mod = np.mod(finals, h / grating.spacing)
-    return ExperimentRecord(
-        experiment="random-walk",
-        params_echo={"m_slits": grating.m_slits, "spacing": grating.spacing,
-                     "width": grating.packet.width, "kind": grating.packet.kind,
-                     "n_electrons": n_electrons, "n_repeats": n_repeats,
-                     "strict": int(strict), "n": grid.n, "length": grid.length,
-                     "hbar": grid.hbar},
-        columns={"repeat": np.arange(n_repeats), "final_recoil": finals,
-                 "recoil_mod": mod},
-        provenance=_provenance(seed),
-        summary={"rms_final_recoil": rms, "predicted_rms": predicted,
-                 "peak_pair_mass": pair_mass, "two_point_regime": float(two_point),
-                 "exchange_quantum": half_step},
+    return _record(
+        "random-walk",
+        {"m_slits": grating.m_slits, "spacing": grating.spacing,
+         "width": grating.packet.width, "kind": grating.packet.kind,
+         "n_electrons": n_electrons, "n_repeats": n_repeats,
+         "strict": int(strict), "n": grid.n, "length": grid.length,
+         "hbar": grid.hbar},
+        seed, {"repeat": np.arange(n_repeats), "final_recoil": finals, "recoil_mod": mod},
+        {"rms_final_recoil": rms, "predicted_rms": predicted,
+         "peak_pair_mass": pair_mass, "two_point_regime": float(two_point),
+         "exchange_quantum": half_step},
     )
 
 
 # ---------------------------------------------------------------------------
-# config-driven runners
+# config-driven runners: each returns (columns, summary); `run` builds the record
 
 SCHEMAS: dict[str, dict[str, Param]] = {}
-_RUNNERS: dict[str, Callable[[dict, int], ExperimentRecord]] = {}
+_RUNNERS: dict[str, Callable[[dict, int], tuple[dict, dict]]] = {}
 
 
 def _experiment(name: str, schema: dict[str, Param]):
@@ -357,19 +369,10 @@ def experiment_names() -> list[str]:
     return sorted(SCHEMAS)
 
 
-def _peak_record(name: str, params: dict, seed: int, psi, grid: Grid,
-                 spacing: float, extra_summary: dict) -> ExperimentRecord:
+def _peak_columns(psi, grid: Grid, spacing: float, extra_summary: dict) -> tuple[dict, dict]:
     peaks = fringe_peaks(free_far_field(psi))
-    summary = {"expected_spacing": 2.0 * math.pi * grid.hbar / spacing}
-    summary.update(extra_summary)
-    return ExperimentRecord(
-        experiment=name,
-        params_echo=params,
-        columns={"p_peak": np.array([p for p, _ in peaks]),
-                 "height": np.array([hgt for _, hgt in peaks])},
-        provenance=_provenance(seed),
-        summary=summary,
-    )
+    summary = {"expected_spacing": 2.0 * math.pi * grid.hbar / spacing, **extra_summary}
+    return {"p_peak": [p for p, _ in peaks], "height": [hgt for _, hgt in peaks]}, summary
 
 
 @_experiment("two-slit", {
@@ -380,14 +383,14 @@ def _peak_record(name: str, params: dict, seed: int, psi, grid: Grid,
     "p0": Param("float", 0.0, "mean momentum"),
     "alpha": Param("float", _REQUIRED, "relative branch phase (radians)"),
 })
-def _run_two_slit(params: dict, seed: int) -> ExperimentRecord:
+def _run_two_slit(params: dict, seed: int) -> tuple[dict, dict]:
     grid = _grid_from(params)
-    packet = PacketSpec(kind=params["kind"], center=-params["spacing"] / 2.0,
-                        width=params["width"], p0=params["p0"])
-    psi = make_two_slit(grid, params["spacing"], packet, params["alpha"])
+    psi = make_grating(grid, _centered_array(2, params["spacing"], params["kind"],
+                                             params["width"], (0.0, params["alpha"]),
+                                             params["p0"]))
     c1 = translation_expect(psi, params["spacing"])
-    return _peak_record("two-slit", params, seed, psi, grid, params["spacing"],
-                        {"abs_c1": abs(c1), "arg_c1": math.atan2(c1.imag, c1.real)})
+    return _peak_columns(psi, grid, params["spacing"],
+                         {"abs_c1": abs(c1), "arg_c1": math.atan2(c1.imag, c1.real)})
 
 
 @_experiment("grating", {
@@ -397,27 +400,19 @@ def _run_two_slit(params: dict, seed: int) -> ExperimentRecord:
     "width": Param("float", 1.5, "packet width"),
     "kind": Param("str", "bump", "packet kind"),
     "p0": Param("float", 0.0, "mean momentum"),
-    "phase_pattern": Param("str", _REQUIRED, "per-slit phases: zero or alternating"),
+    "phase_pattern": Param("str", _REQUIRED, "per-slit phases",
+                           choices=("zero", "alternating")),
     "phase_step": Param("float", math.pi, "phase used on odd slits when alternating"),
 })
-def _run_grating(params: dict, seed: int) -> ExperimentRecord:
+def _run_grating(params: dict, seed: int) -> tuple[dict, dict]:
     grid = _grid_from(params)
     m = params["m_slits"]
-    if params["phase_pattern"] not in ("zero", "alternating"):
-        raise SchemaViolation("phase_pattern must be 'zero' or 'alternating'")
     alternating = params["phase_pattern"] == "alternating"
     phases = tuple((params["phase_step"] if (alternating and s % 2) else 0.0) for s in range(m))
-    center0 = -(m - 1) * params["spacing"] / 2.0
-    spec = SlitArraySpec(
-        m_slits=m, spacing=params["spacing"],
-        packet=PacketSpec(kind=params["kind"], center=center0,
-                          width=params["width"], p0=params["p0"]),
-        phases=phases,
-    )
-    psi = make_grating(grid, spec)
+    psi = make_grating(grid, _centered_array(m, params["spacing"], params["kind"],
+                                             params["width"], phases, params["p0"]))
     offset = (math.pi * grid.hbar / params["spacing"]) if alternating else 0.0
-    return _peak_record("grating", params, seed, psi, grid, params["spacing"],
-                        {"expected_offset": offset})
+    return _peak_columns(psi, grid, params["spacing"], {"expected_offset": offset})
 
 
 @_experiment("eom-check", {
@@ -430,11 +425,11 @@ def _run_grating(params: dict, seed: int) -> ExperimentRecord:
     "steps": Param("int", 160, "steps at the coarsest level"),
     "levels": Param("int", 3, "number of dt-halving levels", lo=1),
 })
-def _run_eom_check(params: dict, seed: int) -> ExperimentRecord:
+def _run_eom_check(params: dict, seed: int) -> tuple[dict, dict]:
     grid = _grid_from(params)
     L = round(params["spacing"] / grid.dx) * grid.dx
-    packet = PacketSpec(kind="bump", center=-L / 2.0, width=params["width"])
-    psi = make_two_slit(grid, L, packet, params["alpha"])
+    psi = make_grating(grid, _centered_array(2, L, "bump", params["width"],
+                                             (0.0, params["alpha"])))
     barrier = PotentialSpec.barrier(params["barrier_height"],
                                     L / 2.0 - params["width"], L / 2.0 + params["width"])
     dts, maxima = [], []
@@ -448,26 +443,21 @@ def _run_eom_check(params: dict, seed: int) -> ExperimentRecord:
     summary = {"L_snapped": L}
     for i in range(1, len(maxima)):
         summary[f"ratio_{i}"] = maxima[i - 1] / maxima[i]
-    return ExperimentRecord(
-        experiment="eom-check", params_echo=params,
-        columns={"level": np.arange(params["levels"]), "dt": np.asarray(dts),
-                 "max_residual": np.asarray(maxima)},
-        provenance=_provenance(seed), summary=summary,
-    )
+    return {"level": np.arange(params["levels"]), "dt": dts, "max_residual": maxima}, summary
 
 
 @_experiment("uncertainty", {
     **_GRID_PARAMS,
     "spacing": Param("float", 2.0, "cell-defining length L"),
     "widths": Param("floats", _REQUIRED, "bump half-supports, each < L/2"),
-    "bins": Param("int", 32),
-    "k_max": Param("int", 4),
+    "bins": Param("int", 32, lo=8),
+    "k_max": Param("int", 4, lo=1),
 })
-def _run_uncertainty(params: dict, seed: int) -> ExperimentRecord:
+def _run_uncertainty(params: dict, seed: int) -> tuple[dict, dict]:
     grid = _grid_from(params)
     rec = uncertainty_experiment(params["spacing"], params["widths"], grid,
                                  bins=params["bins"], k_max=params["k_max"], seed=seed)
-    return replace(rec, params_echo=params)
+    return rec.columns, rec.summary
 
 
 @_experiment("classical-limit", {
@@ -479,13 +469,13 @@ def _run_uncertainty(params: dict, seed: int) -> ExperimentRecord:
                          "descending hbar sweep"),
     "bins": Param("int", 32, "fold bins for the distance from uniform", lo=8),
 })
-def _run_classical_limit(params: dict, seed: int) -> ExperimentRecord:
+def _run_classical_limit(params: dict, seed: int) -> tuple[dict, dict]:
     grid = make_grid(params["n"], -params["length"] / 2.0, params["length"],
                      params["hbar_values"][0])
     packet = PacketSpec(kind="gaussian", center=0.0, width=params["width"], p0=params["p0"])
     rec = classical_limit_experiment(params["spacing"], params["hbar_values"],
                                      packet, grid, bins=params["bins"], seed=seed)
-    return replace(rec, params_echo=params)
+    return rec.columns, rec.summary
 
 
 @_experiment("two-particle", {
@@ -499,9 +489,10 @@ def _run_classical_limit(params: dict, seed: int) -> ExperimentRecord:
     "p_approach": Param("float", 2.0, "approach momentum of each packet"),
     "sigma": Param("float", 1.0, "packet width"),
 })
-def _run_two_particle(params: dict, seed: int) -> ExperimentRecord:
+def _run_two_particle(params: dict, seed: int) -> tuple[dict, dict]:
     grid = _grid_from(params)
     L = params["spacing"]
+    lattice_steps(grid, L, "spacing")  # the sector identity for <T12> needs L on the lattice
     a = params["separation"] / 2.0
     psi1 = make_packet(grid, PacketSpec("gaussian", -a, params["sigma"], params["p_approach"]))
     psi2 = make_packet(grid, PacketSpec("gaussian", +a, params["sigma"], -params["p_approach"]))
@@ -524,13 +515,8 @@ def _run_two_particle(params: dict, seed: int) -> ExperimentRecord:
         rows["re_t1"].append(t1.real)
         rows["im_t1"].append(t1.imag)
         rows["t1_change"].append(abs(t1 - t1_0))
-    return ExperimentRecord(
-        experiment="two-particle", params_echo=params,
-        columns={k: np.asarray(v) for k, v in rows.items()},
-        provenance=_provenance(seed),
-        summary={"max_t12_drift": max(rows["t12_drift"]),
-                 "max_t1_change": max(rows["t1_change"])},
-    )
+    return rows, {"max_t12_drift": max(rows["t12_drift"]),
+                  "max_t1_change": max(rows["t1_change"])}
 
 
 @_experiment("scattering", {
@@ -540,23 +526,18 @@ def _run_two_particle(params: dict, seed: int) -> ExperimentRecord:
     "n_thetas": Param("int", 64, "evaluation angles over [-pi, pi)", lo=1),
     "n_max": Param("int", 0, "series truncation; 0 means ceil(k*r) + 40"),
 })
-def _run_scattering(params: dict, seed: int) -> ExperimentRecord:
-    from .scattering import FluxParam, ScatterConfig, _psi
+def _run_scattering(params: dict, seed: int) -> tuple[dict, dict]:
+    from .scattering import FluxParam, ScatterConfig, _checked_kr, _psi
 
-    n_max = params["n_max"] or math.ceil(params["k"] * params["r"]) + 40
+    kr = _checked_kr(params["k"], params["r"])
+    params["n_max"] = params["n_max"] or math.ceil(kr) + 40  # the echo shows the value used
     thetas = tuple(-math.pi + 2.0 * math.pi * i / params["n_thetas"]
                    for i in range(params["n_thetas"]))
-    cfg = ScatterConfig(k=params["k"], r=params["r"], thetas=thetas, n_max=n_max)
+    cfg = ScatterConfig(k=params["k"], r=params["r"], thetas=thetas, n_max=params["n_max"])
     flux = FluxParam(params["alpha"])
     values, tail = _psi(flux, cfg, thetas)
-    return ExperimentRecord(
-        experiment="scattering",
-        params_echo={**params, "n_max": n_max},
-        columns={"theta": np.array(thetas), "intensity": np.abs(values) ** 2},
-        provenance=_provenance(seed),
-        summary={"tail_bound": tail, "kr": params["k"] * params["r"],
-                 "reduced_flux": flux.reduced},
-    )
+    return ({"theta": thetas, "intensity": np.abs(values) ** 2},
+            {"tail_bound": tail, "kr": kr, "reduced_flux": flux.reduced})
 
 
 @_experiment("random-walk", {
@@ -569,49 +550,40 @@ def _run_scattering(params: dict, seed: int) -> ExperimentRecord:
     "n_repeats": Param("int", _REQUIRED),
     "strict": Param("int", 0, "1: refuse runs outside the two-point regime"),
 })
-def _run_random_walk(params: dict, seed: int) -> ExperimentRecord:
+def _run_random_walk(params: dict, seed: int) -> tuple[dict, dict]:
     grid = _grid_from(params)
     m = params["m_slits"]
-    center0 = -(m - 1) * params["spacing"] / 2.0
-    spec = SlitArraySpec(
-        m_slits=m, spacing=params["spacing"],
-        packet=PacketSpec(kind=params["kind"], center=center0, width=params["width"]),
-        phases=tuple((math.pi if s % 2 else 0.0) for s in range(m)),
-    )
+    spec = _centered_array(m, params["spacing"], params["kind"], params["width"],
+                           tuple((math.pi if s % 2 else 0.0) for s in range(m)))
     rec = random_walk_experiment(spec, grid, params["n_electrons"],
                                  params["n_repeats"], seed, strict=bool(params["strict"]))
-    return replace(rec, params_echo=params)
+    return rec.columns, rec.summary
 
 
 @_experiment("taylor-demo", {
     "n": Param("int", 2048), "length": Param("float", 64.0), "hbar": Param("float", 1.0),
-    "mode": Param("str", _REQUIRED, "two-bump (divergent) or gaussian (convergent)"),
+    "mode": Param("str", _REQUIRED, "two-bump (divergent) or gaussian (convergent)",
+                  choices=("two-bump", "gaussian")),
     "spacing": Param("float", 8.0, "translation length L"),
     "width": Param("float", 2.0, "bump half-support or gaussian sigma"),
     "alpha": Param("float", 0.0, "relative phase in two-bump mode"),
     "orders": Param("int", 40, "highest partial-sum order", lo=0),
 })
-def _run_taylor_demo(params: dict, seed: int) -> ExperimentRecord:
+def _run_taylor_demo(params: dict, seed: int) -> tuple[dict, dict]:
     grid = _grid_from(params)
     L = params["spacing"]
     if params["mode"] == "two-bump":
-        packet = PacketSpec(kind="bump", center=-L / 2.0, width=params["width"])
-        psi = make_two_slit(grid, L, packet, params["alpha"])
-    elif params["mode"] == "gaussian":
-        psi = make_packet(grid, PacketSpec("gaussian", 0.0, params["width"]))
+        psi = make_grating(grid, _centered_array(2, L, "bump", params["width"],
+                                                 (0.0, params["alpha"])))
     else:
-        raise SchemaViolation("mode must be 'two-bump' or 'gaussian'")
+        psi = make_packet(grid, PacketSpec("gaussian", 0.0, params["width"]))
     exact = translation_expect(psi, L)
     sums = taylor_divergence_demo(psi, L, params["orders"])
     errs = np.abs(sums - exact)
-    return ExperimentRecord(
-        experiment="taylor-demo", params_echo=params,
-        columns={"order": np.arange(len(sums)), "partial_re": sums.real,
-                 "partial_im": sums.imag, "abs_err": errs},
-        provenance=_provenance(seed),
-        summary={"exact_re": exact.real, "exact_im": exact.imag,
-                 "final_abs_err": float(errs[-1]), "min_abs_err": float(np.min(errs))},
-    )
+    return ({"order": np.arange(len(sums)), "partial_re": sums.real,
+             "partial_im": sums.imag, "abs_err": errs},
+            {"exact_re": exact.real, "exact_im": exact.imag,
+             "final_abs_err": float(errs[-1]), "min_abs_err": float(np.min(errs))})
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +603,14 @@ def run(
     config: ExperimentConfig, *, with_path: bool = False
 ) -> ExperimentRecord | tuple[ExperimentRecord, Path]:
     """Validate, dispatch, write the output file, and return the record, or
-    with `with_path` the pair (record, path of the file written)."""
+    with `with_path` the pair (record, path of the file written). Arithmetic
+    that overflows, divides by zero or yields NaN raises ArgumentError."""
     params = validate_params(config.name, config.params)
-    record = _RUNNERS[config.name](params, config.seed)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            columns, summary = _RUNNERS[config.name](params, config.seed)
+    except ArithmeticError as e:  # FloatingPointError, OverflowError, ZeroDivisionError
+        raise ArgumentError(f"{config.name}: {e}; a value is out of floating-point range") from e
+    record = _record(config.name, params, config.seed, columns, summary)
     path = write_record(record, config.out_dir, config.format, config.seed)
     return (record, path) if with_path else record

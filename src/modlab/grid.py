@@ -37,9 +37,12 @@ class Grid:
     def __post_init__(self):
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise NonPowerOfTwo(f"n must be a power of two >= 8, got {self.n}")
-        if not (self.length > 0.0) or not (self.hbar > 0.0):
+        # dx and dp can underflow to 0 or overflow to inf for extreme values
+        if not (self.length > 0.0 and self.hbar > 0.0 and self.dx > 0.0
+                and 0.0 < self.dp < math.inf):
             raise NonPositiveDomain(
-                f"length and hbar must be positive, got length={self.length} hbar={self.hbar}"
+                f"length and hbar must be positive with positive, finite steps dx and dp, "
+                f"got length={self.length} hbar={self.hbar}"
             )
 
     @cached_property
@@ -123,7 +126,7 @@ def lattice_steps(grid: Grid, a: float, name: str = "L") -> int:
     """The integer m with a = m * dx to within 1e-9 of a step; raises
     OffLatticeL, naming `a` as `name`, when there is none."""
     m = a / grid.dx
-    if abs(m - round(m)) > 1e-9:
+    if not math.isfinite(m) or abs(m - round(m)) > 1e-9:
         raise OffLatticeL(f"{name} = {a} is not an integer multiple of dx = {grid.dx}")
     return int(round(m))
 

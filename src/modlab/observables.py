@@ -164,7 +164,7 @@ def eom_residual(
     Returns |centered difference - right-hand side| at each interior snapshot.
     """
     if len(snapshots) < 3:
-        raise ValueError("need at least 3 snapshots")
+        raise ArgumentError(f"need at least 3 snapshots, got {len(snapshots)}")
     if times is not None:
         times = np.asarray(times, dtype=float)
         if len(times) != len(snapshots) or not np.allclose(

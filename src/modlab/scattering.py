@@ -90,7 +90,7 @@ def _miller(frac: float, z: float, top: int) -> np.ndarray:
     the recurrence, whose per-step growth 2(frac + j)/z would overflow."""
     if z < 1e-8:
         ratios = 0.5 * z / (frac + np.arange(1, top + 1))  # J_(nu+1) / J_nu
-        first = math.exp(frac * math.log(0.5 * z) - log_gamma(1.0 + frac))
+        first = (0.5 * z) ** frac / gamma(1.0 + frac)
         return first * np.cumprod(np.concatenate(([1.0], ratios)))
     start = int(max(frac + top, z)) + 20 + int(2.0 * math.sqrt(52.0 * max(z, 1.0)))
     trial = [0.0] * (start + 2)  # trial[j] is proportional to J_(frac+j)
@@ -132,6 +132,14 @@ class FluxParam:
         return self.alpha % 1.0
 
 
+def _checked_kr(k: float, r: float) -> float:
+    """k*r; ArgumentError unless k > 0 and r > 0 and their product neither
+    overflows to inf nor underflows to 0."""
+    if not (k > 0.0 and r > 0.0 and 0.0 < k * r < math.inf):
+        raise ArgumentError(f"need k > 0, r > 0 and 0 < k*r < inf, got k={k} r={r}")
+    return k * r
+
+
 @dataclass(frozen=True)
 class ScatterConfig:
     k: float
@@ -140,9 +148,7 @@ class ScatterConfig:
     n_max: int
 
     def __post_init__(self):
-        if not (self.k > 0.0) or not (self.r > 0.0):
-            raise ArgumentError(f"need k > 0 and r > 0, got k={self.k} r={self.r}")
-        n_floor = math.ceil(self.k * self.r) + 24
+        n_floor = math.ceil(_checked_kr(self.k, self.r)) + 24
         if self.n_max < n_floor:
             raise ArgumentError(f"n_max must be >= ceil(k*r) + 24 = {n_floor}")
 

@@ -1,9 +1,18 @@
+import contextlib
+import io
 import json
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modlab.cli import EXIT_GUARD, EXIT_OK, EXIT_SCHEMA, main, read_config
 from modlab.errors import SchemaViolation
+from modlab.experiments import _REQUIRED, SCHEMAS
+from modlab.states import _PACKET_KINDS
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -25,6 +34,13 @@ def test_list_prints_minimums(capsys):
     out = capsys.readouterr().out
     assert "bins: int, default 32, min 8" in out
     assert "n_electrons: int, (required), min 1" in out
+
+
+def test_list_prints_choices(capsys):
+    assert main(["list"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "phase_pattern: str, (required), one of zero|alternating" in out
+    assert "mode: str, (required), one of two-bump|gaussian" in out
 
 
 def test_read_config_parsing(tmp_path):
@@ -72,6 +88,16 @@ def test_guard_failure_exit_code(tmp_path, capsys):
     code = main(["uncertainty", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == EXIT_GUARD
     assert "error" in capsys.readouterr().err
+
+
+def test_off_lattice_two_particle_spacing_exit_code(tmp_path, capsys):
+    # dx = 32/256 = 0.125; the sector identity behind <T12> needs L = m*dx
+    cfg = write_config(tmp_path, "spacing = 2.01\nsteps = 20\n")
+    code = main(["two-particle", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_GUARD
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "spacing" in err
+    assert not list(tmp_path.glob("two-particle-*"))
 
 
 def test_bad_seed_exit_code(tmp_path):
@@ -128,6 +154,16 @@ def test_non_finite_float_exit_code(tmp_path, capsys, experiment, text):
     ("scattering", "alpha = 0.5\nn_thetas = 0\n"),
     ("random-walk", "n_electrons = 0\nn_repeats = 100\n"),
     ("uncertainty", "widths =\n"),
+    ("scattering", "alpha = 0.5\nk = 10\nr = 1e308\n"),
+    ("scattering", "alpha = 0.5\nk = 1e-300\nr = 1e-300\n"),
+    ("taylor-demo", "mode = gaussian\norders = 41\n"),
+    ("uncertainty", "widths = 0.3\nk_max = -3\n"),
+    ("uncertainty", "widths = 0.3\nbins = 7\n"),
+    ("grating", "phase_pattern = bogus\n"),
+    ("taylor-demo", "mode = bogus\n"),
+    ("eom-check", "steps = 1\n"),
+    ("eom-check", "spacing = 1e308\n"),
+    ("two-particle", "well_width = 1e-300\nsteps = 20\n"),
 ])
 def test_argument_error_exit_code(tmp_path, capsys, experiment, text):
     # out-of-range values and degenerate counts are argument errors: exit 2
@@ -138,3 +174,66 @@ def test_argument_error_exit_code(tmp_path, capsys, experiment, text):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not list(tmp_path.glob(f"{experiment}-*"))
+
+
+# Property test: configs drawn from every schema. Values sit at and just past
+# each declared minimum, on each declared choice and one bogus string, and on
+# extreme finite floats. The cost keys take only small values, so one example
+# runs in milliseconds; valid values come first because hypothesis draws the
+# first entries of a list most often.
+_CAPPED = {
+    "n": (1024, 256, 64, 8, 7, 0, -1),
+    "steps": (20, 1, 0, -1),
+    "n_repeats": (100, 101, 99, 0),
+    "n_electrons": (5, 2, 1, 0),
+    "n_thetas": (16, 2, 1, 0),
+}
+_EXTREME_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-8, 0.5, 1.0, -1.0,
+                   3.0, 1e8, 1e300, -1e300, sys.float_info.max, -sys.float_info.max)
+
+
+def _draw_value(key, spec):
+    if key in _CAPPED:
+        return st.sampled_from(_CAPPED[key])
+    default = () if spec.default is _REQUIRED else (spec.default,)
+    if spec.kind == "str":
+        return st.sampled_from((spec.choices or _PACKET_KINDS) + ("bogus",))
+    if spec.kind == "int":
+        near = () if spec.lo is None else (spec.lo - 1, spec.lo, spec.lo + 1)
+        return st.sampled_from(default + near + (-1, 0, 1, 2))
+    number = st.sampled_from(_EXTREME_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    if spec.kind == "floats":
+        return st.lists(number, max_size=3)
+    return st.sampled_from(default) | number if default else number
+
+
+def _config_text(value):
+    if isinstance(value, list):
+        return ",".join(repr(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _drawn_config(name):
+    schema = SCHEMAS[name]
+    # missing keys have their own tests; cost keys always take a capped value
+    always = {k: _draw_value(k, spec) for k, spec in schema.items()
+              if k in _CAPPED or spec.default is _REQUIRED}
+    maybe = {k: _draw_value(k, spec) for k, spec in schema.items() if k not in always}
+    return st.tuples(st.just(name), st.fixed_dictionaries(always, optional=maybe))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=st.sampled_from(sorted(SCHEMAS)).flatmap(_drawn_config))
+def test_cli_exit_codes_on_drawn_configs(case):
+    # every config ends in exit 0, 2 or 3 with at most one error line; an
+    # exception escaping main fails the test
+    name, params = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out:
+        cfg = Path(out) / "drawn.cfg"
+        cfg.write_text("".join(f"{k} = {_config_text(v)}\n" for k, v in params.items()),
+                       encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([name, "--config", str(cfg), "--out", out])
+    assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_GUARD)
+    assert err.getvalue().count("error:") <= 1

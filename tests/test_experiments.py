@@ -269,7 +269,7 @@ def test_run_two_particle_runner(tmp_path):
     rec = run(ExperimentConfig(
         name="two-particle",
         params={"n": "128", "length": "24", "steps": "60", "snapshot_every": "30",
-                "dt": "0.004", "separation": "5.0", "sigma": "0.8"},
+                "dt": "0.004", "separation": "5.0", "sigma": "0.8", "spacing": "1.875"},
         out_dir=str(tmp_path),
     ))
     assert rec.summary["max_t12_drift"] < 1e-10

@@ -49,6 +49,13 @@ def test_make_grid_rejects_bad_domain():
         make_grid(8, 0.0, 8.0, hbar=-1.0)
 
 
+def test_make_grid_rejects_steps_out_of_float_range():
+    # dx underflows to 0; dp overflows to inf; dp underflows to 0
+    for length, hbar in ((5e-324, 1.0), (1e-300, 1e300), (1e10, 5e-324)):
+        with pytest.raises(NonPositiveDomain):
+            make_grid(8, 0.0, length, hbar)
+
+
 def test_grid_derived_quantities_consistent():
     g = make_grid(64, -3.0, 21.0, 0.7)
     assert g.dx * g.n == pytest.approx(g.length, rel=1e-15)

@@ -109,9 +109,10 @@ def test_bessel_envelope_sweep_against_scipy_and_mpmath():
               zip(rng.uniform(0.0, 200.0, 1200), rng.uniform(0.0, 500.0, 1200))]
     points += [(float(nu), float(z)) for nu, z in
                zip(rng.uniform(0.0, 200.0, 300), 10.0 ** rng.uniform(-12.0, 1.5, 300))]
-    # exact zero, tiny arguments either side of the leading-term threshold,
-    # the former series/recurrence switch at z = 15, and the envelope corners
-    edges = (0.0, 1e-300, 1e-60, 0.99e-8, 1e-8, 1.01e-8, 14.99, 15.0, 15.01, 500.0)
+    # exact zero, the smallest subnormal (z/2 rounds to 0), tiny arguments
+    # either side of the leading-term threshold, the former series/recurrence
+    # switch at z = 15, and the envelope corners
+    edges = (0.0, 5e-324, 1e-300, 1e-60, 0.99e-8, 1e-8, 1.01e-8, 14.99, 15.0, 15.01, 500.0)
     points += [(nu, z) for nu in (0.0, 0.37, 1.0, 2.5, 99.99, 200.0) for z in edges]
     values = np.array([bessel_j(nu, z) for nu, z in points])
     nus, zs = np.array(points).T
