@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .errors import (
     ArgumentError,
-    DisjointnessViolated,
     PeriodUnderResolved,
     RegimeViolation,
     SchemaViolation,
@@ -71,7 +70,7 @@ class Param:
     default: object = _REQUIRED
     help: str = ""
     lo: int | None = None  # smallest allowed value of an 'int'
-    choices: tuple[str, ...] = ()  # allowed values of a 'str', when not empty
+    choices: tuple[str, ...] = ()  # allowed values as text, when not empty
 
 
 def _finite(raw) -> float:
@@ -101,7 +100,7 @@ def _check_bounds(name: str, spec: Param, value) -> None:
         raise SchemaViolation(f"parameter {name!r}: needs at least one value")
     if spec.lo is not None and value < spec.lo:
         raise SchemaViolation(f"parameter {name!r}: must be >= {spec.lo}, got {value}")
-    if spec.choices and value not in spec.choices:
+    if spec.choices and str(value) not in spec.choices:
         raise SchemaViolation(
             f"parameter {name!r}: must be one of {', '.join(spec.choices)}, got {value!r}"
         )
@@ -111,7 +110,7 @@ def validate_params(name: str, raw: dict) -> dict:
     """Coerce raw key/value pairs against the schema of the named experiment.
 
     Unknown keys are errors; every missing required key is reported in one
-    SchemaViolation message. An int below its minimum, a string outside its
+    SchemaViolation message. An int below its minimum, a value outside its
     choices and an empty list of floats are SchemaViolations too.
     """
     schema = schema_for(name)
@@ -217,9 +216,6 @@ def uncertainty_experiment(
     folded distribution from uniform, plus the contrast value |c_1| of the
     two-branch state built from the same packet.
     """
-    for w in widths:
-        if not (w < L / 2.0):
-            raise DisjointnessViolated(f"width {w} must be < L/2 = {L / 2.0}")
     cols: dict[str, list] = {
         "width": [], "tv_uniform": [], "c1_two_slit": [],
         **{f"c{k}": [] for k in range(1, k_max + 1)},
@@ -548,7 +544,7 @@ def _run_scattering(params: dict, seed: int) -> tuple[dict, dict]:
     "kind": Param("str", "gaussian"),
     "n_electrons": Param("int", _REQUIRED, lo=1),
     "n_repeats": Param("int", _REQUIRED),
-    "strict": Param("int", 0, "1: refuse runs outside the two-point regime"),
+    "strict": Param("int", 0, "1: refuse runs outside the two-point regime", choices=("0", "1")),
 })
 def _run_random_walk(params: dict, seed: int) -> tuple[dict, dict]:
     grid = _grid_from(params)
@@ -604,7 +600,8 @@ def run(
 ) -> ExperimentRecord | tuple[ExperimentRecord, Path]:
     """Validate, dispatch, write the output file, and return the record, or
     with `with_path` the pair (record, path of the file written). Arithmetic
-    that overflows, divides by zero or yields NaN raises ArgumentError."""
+    that overflows, divides by zero or yields NaN, and a record holding a
+    non-finite value, raise ArgumentError."""
     params = validate_params(config.name, config.params)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -612,5 +609,8 @@ def run(
     except ArithmeticError as e:  # FloatingPointError, OverflowError, ZeroDivisionError
         raise ArgumentError(f"{config.name}: {e}; a value is out of floating-point range") from e
     record = _record(config.name, params, config.seed, columns, summary)
+    for key, value in (*record.columns.items(), *record.summary.items()):
+        if not np.all(np.isfinite(value)):
+            raise ArgumentError(f"{config.name}: {key} is out of floating-point range")
     path = write_record(record, config.out_dir, config.format, config.seed)
     return (record, path) if with_path else record

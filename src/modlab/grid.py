@@ -132,9 +132,12 @@ def lattice_steps(grid: Grid, a: float, name: str = "L") -> int:
 
 
 def circulant(c: np.ndarray, shift: int = 0) -> np.ndarray:
-    """The n x n matrix M[a, b] = c[(a - b - shift) mod n] of a length-n vector."""
+    """The n x n matrix M[a, b] = c[(a - b - shift) mod n] of a length-n vector, a fresh
+    C-contiguous copy whose row a is a window of reversed [d, d], d = roll(c, shift)."""
     n = len(c)
-    return c[(np.arange(n)[:, None] - np.arange(n)[None, :] - shift) % n]
+    d = np.roll(c, shift)
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((d, d))[::-1], n)
+    return windows[n - 1::-1].copy()
 
 
 def to_momentum(psi: WaveFunction) -> MomentumAmplitudes:

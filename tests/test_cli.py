@@ -43,6 +43,11 @@ def test_list_prints_choices(capsys):
     assert "mode: str, (required), one of two-bump|gaussian" in out
 
 
+def test_list_prints_int_choices(capsys):
+    assert main(["list"]) == EXIT_OK
+    assert "strict: int, default 0, one of 0|1" in capsys.readouterr().out
+
+
 def test_read_config_parsing(tmp_path):
     path = write_config(tmp_path, "# comment\nalpha = 3.14\n\nwidth=1.5\n")
     assert read_config(path) == {"alpha": "3.14", "width": "1.5"}
@@ -164,6 +169,9 @@ def test_non_finite_float_exit_code(tmp_path, capsys, experiment, text):
     ("eom-check", "steps = 1\n"),
     ("eom-check", "spacing = 1e308\n"),
     ("two-particle", "well_width = 1e-300\nsteps = 20\n"),
+    ("random-walk", "spacing = 5e-324\nn_electrons = 25\nn_repeats = 400\n"),
+    ("random-walk", "strict = -7\nn_electrons = 25\nn_repeats = 400\n"),
+    ("random-walk", "strict = 2\nn_electrons = 25\nn_repeats = 400\n"),
 ])
 def test_argument_error_exit_code(tmp_path, capsys, experiment, text):
     # out-of-range values and degenerate counts are argument errors: exit 2

@@ -14,7 +14,7 @@ from modlab import (
     translate,
 )
 from modlab.errors import GridMismatch, NonPositiveDomain, NonPowerOfTwo, ZeroState
-from modlab.grid import _translate_spectral
+from modlab.grid import _translate_spectral, circulant
 
 # frozen oracle: 2*pi/128 evaluated in extended precision
 PI_OVER_64 = 0.04908738521234051935098
@@ -177,3 +177,13 @@ def test_translate_composition_and_unitarity():
     assert np.max(np.abs(once.amps - direct.amps)) < 1e-12
     assert abs(once.norm() - 1.0) < 1e-12
     assert abs(to_momentum(psi).grid.dp * np.sum(to_momentum(psi).density()) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8])
+@pytest.mark.parametrize("shift", [-2, 0, 1, 3, 9])
+def test_circulant_is_the_index_gather(n, shift):
+    c = np.arange(n) + 1j * np.arange(n, 2 * n)
+    a = np.arange(n)
+    m = circulant(c, shift)
+    assert np.array_equal(m, c[(a[:, None] - a[None, :] - shift) % n])
+    assert m.flags.writeable and m.flags.c_contiguous

@@ -230,6 +230,33 @@ def test_operator_matrix_hermitian_validation():
         OperatorMatrix(2, bad, hermitian=True)
 
 
+def test_weyl_matrix_matches_binomial_definition():
+    # 2^-n sum_k C(n,k) X^k P^m X^(n-k) from dense products, every degree to 6
+    g = make_grid(64, -5.0, 16.0)
+    x_mat, p_mat = build_x(g).entries, build_p(g).entries
+    x_pow = [np.linalg.matrix_power(x_mat, k) for k in range(7)]
+    for n_x in range(7):
+        for m_p in range(7 - n_x):
+            pm = np.linalg.matrix_power(p_mat, m_p)
+            direct = sum(math.comb(n_x, k) * x_pow[k] @ pm @ x_pow[n_x - k]
+                         for k in range(n_x + 1)) / 2.0**n_x
+            w = weyl_matrix(g, n_x, m_p).entries
+            assert np.max(np.abs(w - direct)) < 1e-12 * np.max(np.abs(direct)), (n_x, m_p)
+
+
+@pytest.mark.parametrize("row,col", [(3, 100), (290, 270), (290, 10), (299, 299)])
+def test_hermitian_guard_finds_one_entry_in_any_row_block(row, col):
+    # dim 300 spans a full 256-row block and a partial one; the entry sits in
+    # either, below or above the diagonal, or on it
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    h = a + a.conj().T
+    OperatorMatrix(300, h.copy(), hermitian=True)  # the guard freezes its entries
+    h[row, col] += 1e-9j
+    with pytest.raises(ValueError):
+        OperatorMatrix(300, h, hermitian=True)
+
+
 def test_classical_free_momentum_constant():
     s = ClassicalState(0.5, 1.25)
     for _ in range(50):
