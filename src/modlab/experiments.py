@@ -156,6 +156,8 @@ def _centered_array(m: int, spacing: float, kind: str, width: float,
 # ---------------------------------------------------------------------------
 # detection sampling
 
+_DRAW_CHUNK = 2**16  # random-walk draws per block
+
 
 @dataclass(frozen=True)
 class DetectionSample:
@@ -293,6 +295,8 @@ def random_walk_experiment(
     after N electrons is (h/2L) sqrt(N); outside that regime the prediction
     falls back to the exact sampled-step variance (or, with strict=True, the
     run is refused). The recoil reduced mod h/L stays bounded either way.
+    Trial r * n_electrons + e is electron e of repeat r; draws are summed by
+    blocks of whole repeats, so memory stays O(max(_DRAW_CHUNK, n_electrons)).
     """
     if n_repeats < 100:
         raise ArgumentError(f"n_repeats must be >= 100, got {n_repeats}")
@@ -312,9 +316,12 @@ def random_walk_experiment(
             f"probability; envelope too wide for the two-point idealization"
         )
     cdf = _lattice_cdf(far)
-    trials = np.arange(n_repeats * n_electrons, dtype=np.uint64)
-    steps = _sample_lattice_p(far, cdf, seed, trials).reshape(n_repeats, n_electrons)
-    finals = -np.sum(steps, axis=1)
+    finals = np.empty(n_repeats)
+    rows = max(1, _DRAW_CHUNK // n_electrons)  # repeats drawn at a time
+    for r in range(0, n_repeats, rows):
+        trials = np.arange(r * n_electrons, min(r + rows, n_repeats) * n_electrons, dtype=np.uint64)
+        steps = _sample_lattice_p(far, cdf, seed, trials).reshape(-1, n_electrons)
+        finals[r:r + rows] = -np.sum(steps, axis=1)
     rms = float(np.sqrt(np.mean(finals**2)))
     if two_point:
         predicted = half_step * math.sqrt(n_electrons)
@@ -432,8 +439,8 @@ def _run_eom_check(params: dict, seed: int) -> tuple[dict, dict]:
     for level in range(params["levels"]):
         dt = params["dt"] / 2**level
         cfg = PropagatorConfig(dt=dt, steps=params["steps"] * 2**level, mass=params["mass"])
-        snaps = propagate(psi, barrier, cfg)
-        res = eom_residual(snaps, barrier, L, dt)
+        # one level's trajectory alive at a time
+        res = eom_residual(propagate(psi, barrier, cfg), barrier, L, dt)
         dts.append(dt)
         maxima.append(float(np.max(res)))
     summary = {"L_snapped": L}

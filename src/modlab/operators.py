@@ -26,11 +26,13 @@ from .grid import Grid, circulant, lattice_steps
 from .observables import MomentSpec
 
 MATRIX_DIM_CAP = 2048
+_BLOCK = 64  # rows per block of the Weyl build and the hermitian guard
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense operator in the position lattice basis."""
+    """Dense operator in the position lattice basis. `entries` is a read-only view of
+    the input, not a copy: the caller must not change that array afterwards."""
 
     dim: int
     entries: np.ndarray
@@ -38,17 +40,19 @@ class OperatorMatrix:
     hermitian: bool = False
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.complex128)
+        e = np.asarray(self.entries, dtype=np.complex128).view()
         if e.shape != (self.dim, self.dim):
             raise ValueError(f"expected {(self.dim,) * 2} entries, got {e.shape}")
-        if self.hermitian:  # max|e| and max|e - e^H|, 256 rows at a time
+        if self.hermitian:  # max|e| and max|e - e^H| by row blocks; np.maximum keeps a NaN
             scale, gap = 1.0, 0.0
-            for i in range(0, self.dim, 256):
-                rows = e[i:i + 256]
-                scale = max(scale, float(np.max(np.abs(rows))))
+            for i in range(0, self.dim, _BLOCK):
+                rows = e[i:i + _BLOCK]
+                scale = np.maximum(scale, np.max(np.abs(rows)))
                 # |e_ab - conj(e_ba)| is symmetric in (a, b): start at the diagonal
-                gap = max(gap, float(np.max(np.abs(rows[:, i:] - e[i:, i:i + 256].conj().T))))
-            if gap > 1e-12 * scale:
+                d = e[i:, i:i + _BLOCK].conj().T
+                d -= rows[:, i:]
+                gap = np.maximum(gap, np.max(np.abs(d)))
+            if not gap <= 1e-12 * scale:
                 raise ValueError("entries are not hermitian within 1e-12")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
@@ -104,15 +108,17 @@ def eom_identity_residual(
 
 def weyl_matrix(grid: Grid, n_x: int, m_p: int) -> OperatorMatrix:
     """Symmetrized monomial W(x^n p^m) = 2^-n sum_k C(n,k) X^k P^m X^(n-k); X is
-    diagonal, so this is W[a, b] = ((x_a + x_b)/2)^n (P^m)[a, b] (McCoy's midpoint rule)."""
+    diagonal, so this is W[a, b] = ((x_a + x_b)/2)^n (P^m)[a, b] (McCoy's midpoint rule),
+    applied in place by row blocks: only the result is n x n."""
     MomentSpec(n_x, m_p)  # enforces the degree cap
     _check_dim(grid)
     w = _spectral_function(grid.p**m_p)
     if n_x:
-        mid = np.add.outer(grid.x, grid.x)
-        mid *= 0.5
-        mid **= n_x
-        w *= mid
+        for i in range(0, grid.n, _BLOCK):
+            mid = np.add.outer(grid.x[i:i + _BLOCK], grid.x)
+            mid *= 0.5
+            mid **= n_x
+            w[i:i + _BLOCK] *= mid
     return OperatorMatrix(grid.n, w, hermitian=True)
 
 

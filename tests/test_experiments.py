@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from modlab import (
     translation_expect_two,
     uncertainty_experiment,
 )
+from modlab import experiments
 from modlab.errors import (
     DisjointnessViolated,
     PeriodUnderResolved,
@@ -31,9 +33,11 @@ from modlab.errors import (
     SchemaViolation,
     UnknownExperiment,
 )
-from modlab.experiments import validate_params
+from modlab.experiments import _lattice_cdf, _sample_lattice_p, validate_params
+from modlab.grid import to_momentum
 from modlab.records import ExperimentRecord, format_number, write_record
 from modlab.rng import counter_uniform
+from modlab.states import make_grating
 
 
 # --- counter-based rng ---------------------------------------------------------
@@ -190,6 +194,63 @@ def test_random_walk_conservation_columns():
     h_over_l = 2.0 * math.pi / 8.0
     assert np.all(rec.columns["recoil_mod"] >= 0.0)
     assert np.all(rec.columns["recoil_mod"] < h_over_l)
+
+
+def _random_walk_reference(spec, grid, n_electrons, trials, seed):
+    """-sum of the draws keyed r * n_electrons + e, made as one array."""
+    far = to_momentum(make_grating(grid, spec))
+    steps = _sample_lattice_p(far, _lattice_cdf(far), seed, trials.astype(np.uint64))
+    return -np.sum(steps.reshape(-1, n_electrons), axis=1)
+
+
+@pytest.mark.parametrize("chunk,n_electrons,n_repeats", [
+    (2**16, 100, 1000),  # 655 repeats per block, a short last block
+    (2**16, 7, 10_000),  # 9362 repeats per block
+    (64, 100, 130),      # more electrons than a block holds: one repeat per block
+])
+def test_random_walk_blocks_match_one_array(monkeypatch, chunk, n_electrons, n_repeats):
+    monkeypatch.setattr(experiments, "_DRAW_CHUNK", chunk)
+    grid = make_grid(2048, -32.0, 64.0)
+    rec = random_walk_experiment(ring_spec(), grid, n_electrons, n_repeats, seed=9)
+    want = _random_walk_reference(ring_spec(), grid, n_electrons,
+                                  np.arange(n_repeats * n_electrons), seed=9)
+    assert np.array_equal(rec.columns["final_recoil"], want)
+
+
+def test_random_walk_more_electrons_than_a_block():
+    n_electrons = 2**16 + 3
+    grid = make_grid(2048, -32.0, 64.0)
+    rec = random_walk_experiment(ring_spec(), grid, n_electrons, 100, seed=2)
+    for r in (0, 1, 99):
+        want = _random_walk_reference(ring_spec(), grid, n_electrons,
+                                      r * n_electrons + np.arange(n_electrons), seed=2)
+        assert rec.columns["final_recoil"][r] == want[0]
+
+
+def test_random_walk_working_memory_is_bounded(tmp_path):
+    # 10^6 draws; drawn at once, their uniforms alone take 7.6 MiB
+    cfg = ExperimentConfig(name="random-walk", out_dir=str(tmp_path),
+                           params={"n_electrons": "100", "n_repeats": "10000"})
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_eom_check_keeps_one_level_of_snapshots(tmp_path):
+    # at defaults the finest level holds 641 snapshots of 16 KiB (10 MiB);
+    # the previous level's 321 still alive would add 5 MiB
+    cfg = ExperimentConfig(name="eom-check", out_dir=str(tmp_path))
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 # --- schemas and dispatch ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -246,15 +247,43 @@ def test_weyl_matrix_matches_binomial_definition():
 
 @pytest.mark.parametrize("row,col", [(3, 100), (290, 270), (290, 10), (299, 299)])
 def test_hermitian_guard_finds_one_entry_in_any_row_block(row, col):
-    # dim 300 spans a full 256-row block and a partial one; the entry sits in
-    # either, below or above the diagonal, or on it
+    # dim 300 spans four full 64-row blocks and a partial one; the entry sits in
+    # the first or the last, below or above the diagonal, or on it
     rng = np.random.default_rng(5)
     a = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
     h = a + a.conj().T
-    OperatorMatrix(300, h.copy(), hermitian=True)  # the guard freezes its entries
+    OperatorMatrix(300, h.copy(), hermitian=True)
     h[row, col] += 1e-9j
     with pytest.raises(ValueError):
         OperatorMatrix(300, h, hermitian=True)
+
+
+@pytest.mark.parametrize("entries", [[[math.nan, 5.0], [0.0, 0.0]],
+                                     [[1.0, math.nan], [math.nan, 1.0]]])
+def test_hermitian_guard_refuses_nan(entries):
+    with pytest.raises(ValueError):
+        OperatorMatrix(2, entries, hermitian=True)
+
+
+def test_operator_matrix_leaves_the_callers_array_writable():
+    h = np.eye(4, dtype=complex)
+    op = OperatorMatrix(4, h, hermitian=True)
+    assert h.flags.writeable
+    assert not op.entries.flags.writeable
+
+
+def test_weyl_matrix_working_memory_is_the_result_plus_blocks():
+    # the 64 MiB result at n = 2048, plus row-block temporaries; a full n x n
+    # midpoint factor (32 MiB) would break the bound
+    g = make_grid(2048, -128.0, 256.0)
+    tracemalloc.start()
+    try:
+        w = weyl_matrix(g, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.entries.nbytes == 64 * 2**20
+    assert peak < 72 * 2**20
 
 
 def test_classical_free_momentum_constant():
