@@ -126,6 +126,14 @@ def modular_distribution(
     return ModularDistribution(L=L, period=period, bins=bins, density=density, fourier=fourier)
 
 
+def _power(base: np.ndarray, k: int) -> np.ndarray:
+    """base**k by repeated multiplication; numpy's ** on floats calls libm pow."""
+    out = np.ones_like(base)
+    for _ in range(k):
+        out *= base
+    return out
+
+
 def weyl_moment(psi: WaveFunction, spec: MomentSpec) -> float:
     """Expectation of the fully symmetrized monomial x^n_x p^m_p.
 
@@ -138,16 +146,21 @@ def weyl_moment(psi: WaveFunction, spec: MomentSpec) -> float:
     """
     g = psi.grid
     if spec.m_p == 0:
-        return float(np.sum(psi.position_density() * g.x**spec.n_x) * g.dx)
+        return float(np.sum(psi.position_density() * _power(g.x, spec.n_x)) * g.dx)
     if spec.n_x == 0:
         mom = to_momentum(psi)
-        return float(np.sum(mom.density() * g.p**spec.m_p) * g.dp)
-    p_pow = g.p_raw**spec.m_p
-    acc = 0.0 + 0.0j
-    for k in range(spec.n_x + 1):
-        phi = _fft.ifft(p_pow * _fft.fft(g.x ** (spec.n_x - k) * psi.amps))
-        acc += math.comb(spec.n_x, k) * np.vdot(g.x**k * psi.amps, phi) * g.dx
-    return (acc / 2.0**spec.n_x).real
+        return float(np.sum(mom.density() * _power(g.p, spec.m_p)) * g.dp)
+    n = spec.n_x
+    p_pow = _power(g.p_raw, spec.m_p)
+    x_psi = [psi.amps]  # x^k psi for k = 0..n, by running products
+    for _ in range(n):
+        x_psi.append(g.x * x_psi[-1])
+    acc = 0.0  # P^m is hermitian, so term n - k is the conjugate of term k
+    for k in range(n // 2 + 1):
+        phi = _fft.ifft(p_pow * _fft.fft(x_psi[n - k]))
+        term = math.comb(n, k) * np.vdot(x_psi[k], phi).real * g.dx
+        acc += term if 2 * k == n else 2.0 * term
+    return acc / 2.0**n
 
 
 def eom_residual(

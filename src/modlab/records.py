@@ -46,18 +46,28 @@ def _format_param(v) -> str:
     return format_number(v)
 
 
+# format_number's output for the Python values tolist gives, by dtype kind
+_FORMAT_BY_KIND = {"b": lambda x: "1" if x else "0", "i": str, "f": lambda x: format(x, ".17g")}
+_CSV_ROWS = 2**14  # rows formatted at a time: bounds the per-column string lists
+
+
+def _format_column(v) -> list[str]:
+    """format_number of each entry; a 1-D int, float or bool array is converted
+    once, by tolist, rather than element by element."""
+    fmt = _FORMAT_BY_KIND.get(v.dtype.kind) if isinstance(v, np.ndarray) and v.ndim == 1 else None
+    return list(map(fmt, v.tolist())) if fmt else [format_number(x) for x in v]
+
+
 def _csv_text(record: ExperimentRecord) -> str:
     lines = [f"# provenance: {record.provenance}"]
     for k, v in record.params_echo.items():
         lines.append(f"# param {k} = {_format_param(v)}")
     for k, v in record.summary.items():
         lines.append(f"# summary {k} = {format_number(v)}")
-    names = list(record.columns)
-    lines.append(",".join(names))
-    if names:
-        n_rows = len(record.columns[names[0]])
-        for i in range(n_rows):
-            lines.append(",".join(format_number(record.columns[k][i]) for k in names))
+    lines.append(",".join(record.columns))
+    columns = list(record.columns.values())
+    for i in range(0, len(columns[0]) if columns else 0, _CSV_ROWS):
+        lines.extend(map(",".join, zip(*(_format_column(v[i:i + _CSV_ROWS]) for v in columns))))
     return "\n".join(lines) + "\n"
 
 
@@ -65,6 +75,8 @@ def _json_value(v) -> str:
     # strings through the stdlib escaper; numbers through the 17-digit format
     if isinstance(v, str):
         return json.dumps(v)
+    if isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind in _FORMAT_BY_KIND:
+        return "[" + ", ".join(_format_column(v)) + "]"
     if isinstance(v, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_json_value(i) for i in v) + "]"
     if isinstance(v, dict):

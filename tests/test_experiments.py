@@ -24,7 +24,7 @@ from modlab import (
     translation_expect_two,
     uncertainty_experiment,
 )
-from modlab import experiments
+from modlab import experiments, records
 from modlab.errors import (
     DisjointnessViolated,
     PeriodUnderResolved,
@@ -35,7 +35,7 @@ from modlab.errors import (
 )
 from modlab.experiments import _lattice_cdf, _sample_lattice_p, validate_params
 from modlab.grid import to_momentum
-from modlab.records import ExperimentRecord, format_number, write_record
+from modlab.records import ExperimentRecord, _format_param, format_number, write_record
 from modlab.rng import counter_uniform
 from modlab.states import make_grating
 
@@ -428,6 +428,68 @@ def test_write_record_formats(tmp_path):
     assert data["columns"]["y"][1] == 1.0 / 3.0
     with pytest.raises(ValueError):
         write_record(rec, tmp_path, "yaml", 7)
+
+
+def _reference_csv(record):
+    # one format_number call per element, row by row
+    lines = [f"# provenance: {record.provenance}"]
+    lines += [f"# param {k} = {_format_param(v)}" for k, v in record.params_echo.items()]
+    lines += [f"# summary {k} = {format_number(v)}" for k, v in record.summary.items()]
+    names = list(record.columns)
+    lines.append(",".join(names))
+    for i in range(len(record.columns[names[0]])):
+        lines.append(",".join(format_number(record.columns[k][i]) for k in names))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json_value(v):
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(_reference_json_value(i) for i in v) + "]"
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_reference_json_value(x)}"
+                               for k, x in v.items()) + "}"
+    return format_number(v)
+
+
+def _reference_json(record):
+    return _reference_json_value({
+        "experiment": record.experiment, "provenance": record.provenance,
+        "params": record.params_echo, "summary": record.summary, "columns": record.columns,
+    }) + "\n"
+
+
+def _assert_records_match_reference(record, out_dir):
+    csv_path = write_record(record, out_dir, "csv", 3)
+    json_path = write_record(record, out_dir, "json", 3)
+    assert csv_path.read_bytes() == _reference_csv(record).encode()
+    assert json_path.read_bytes() == _reference_json(record).encode()
+
+
+def test_column_formatting_matches_format_number_per_element(tmp_path):
+    rec = ExperimentRecord(
+        experiment="demo",
+        params_echo={"a": 1, "widths": [0.1, 0.2], "mode": "x"},
+        columns={
+            "f": np.array([-0.0, 5e-324, 1e308, 0.1 + 0.2, -math.inf, math.nan, 1.0 / 3.0]),
+            "i": np.array([2**63 - 1, -(2**63), 0, -1, 7, 10**18, 3], dtype=np.int64),
+            "b": np.array([True, False, True, True, False, False, True]),
+        },
+        provenance="modlab test",
+        summary={"total": 0.1 + 0.2, "count": 7},
+    )
+    _assert_records_match_reference(rec, tmp_path)
+    assert "9223372036854775807,1" in (tmp_path / "demo-3.csv").read_text()
+    assert "[-0, 4.9406564584124654e-324, 1e+308" in (tmp_path / "demo-3.json").read_text()
+
+
+def test_random_walk_record_matches_format_number_per_element(tmp_path, monkeypatch):
+    monkeypatch.setattr(records, "_CSV_ROWS", 3000)  # three full blocks of rows and a short one
+    rec = run(ExperimentConfig(name="random-walk", out_dir=str(tmp_path), seed=5,
+                               params={"n_electrons": "100", "n_repeats": "10000"}))
+    assert len(rec.columns["repeat"]) == 10_000
+    _assert_records_match_reference(rec, tmp_path)
 
 
 def test_columns_must_be_rectangular():

@@ -171,6 +171,31 @@ def test_weyl_moment_agrees_with_matrix_engine():
         )
 
 
+def test_weyl_moment_matches_binomial_sum_every_degree():
+    # every one of the n + 1 terms of 2^-n sum_k C(n,k) <X^k psi, P^m X^(n-k) psi>,
+    # on an asymmetric complex state so that no term vanishes by symmetry
+    g = make_grid(1024, -24.0, 48.0)
+    rng = np.random.default_rng(23)
+    a = make_packet(g, PacketSpec("gaussian", rng.uniform(-5.0, -2.0), rng.uniform(0.8, 1.2),
+                                  p0=rng.uniform(0.5, 2.0))).amps
+    b = make_packet(g, PacketSpec("gaussian", rng.uniform(2.0, 5.0), rng.uniform(0.5, 0.7),
+                                  p0=rng.uniform(-1.0, -0.3))).amps
+    amps = a + rng.uniform(0.3, 0.7) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) * b
+    psi = WaveFunction(g, amps / math.sqrt(float(np.sum(np.abs(amps) ** 2)) * g.dx))
+    for n_x in range(7):
+        for m_p in range(7 - n_x):
+            terms = [
+                math.comb(n_x, k) * np.vdot(
+                    g.x**k * psi.amps,
+                    np.fft.ifft(g.p_raw**m_p * np.fft.fft(g.x ** (n_x - k) * psi.amps)),
+                ) * g.dx
+                for k in range(n_x + 1)
+            ]
+            want = (sum(terms) / 2.0**n_x).real
+            got = weyl_moment(psi, MomentSpec(n_x, m_p))
+            assert abs(got - want) < 1e-12 * max(1.0, abs(want)), (n_x, m_p, got, want)
+
+
 def test_weyl_moment_dichotomy_compact():
     # disjoint branches: symmetrized moments blind to alpha, c_1 is not
     g = make_grid(2048, -30.5, 61.0)

@@ -161,6 +161,22 @@ def test_eom_identity_periodic_potential_correction_vanishes():
     assert eom_identity_residual(g, v, L) < 1e-12 * 0.7
 
 
+def test_eom_identity_residual_matches_the_explicit_expression():
+    # the in-place buffers must give the residual of the plain expression, bit for bit
+    g = make_grid(256, -128.0, 256.0, hbar=0.7)
+    noise = np.random.default_rng(13).normal(size=g.n)
+    for v in (PotentialSpec.barrier(2.0, -3.0, 3.0), PotentialSpec.harmonic(0.02),
+              PotentialSpec.sampled(noise)):
+        vals = v.values(g)
+        p_mat = build_p(g).entries
+        h = p_mat @ p_mat / 2.0 + np.diag(vals.astype(complex))
+        for m in (1, 8, 64):
+            t = build_translation(g, m * g.dx).entries
+            correction = (vals - np.roll(vals, -m))[:, None] * t
+            want = float(np.max(np.abs((1j / g.hbar) * (h @ t - t @ h - correction))))
+            assert eom_identity_residual(g, v, m * g.dx) == want, (v.kind, m)
+
+
 def test_eom_identity_guards():
     g = small_grid()
     with pytest.raises(OffLatticeL):
@@ -262,6 +278,17 @@ def test_hermitian_guard_finds_one_entry_in_any_row_block(row, col):
                                      [[1.0, math.nan], [math.nan, 1.0]]])
 def test_hermitian_guard_refuses_nan(entries):
     with pytest.raises(ValueError):
+        OperatorMatrix(2, entries, hermitian=True)
+
+
+@pytest.mark.parametrize("entries", [[[1.0, 0.0], [0.0, math.inf]],
+                                     [[1.0, math.inf], [math.inf, 1.0]]])
+def test_hermitian_guard_refuses_inf_without_a_warning(entries):
+    # inf - inf is NaN: the guard reports it as a ValueError, not a RuntimeWarning
+    # (an error under this suite's filter) or a FloatingPointError
+    with pytest.raises(ValueError):
+        OperatorMatrix(2, entries, hermitian=True)
+    with np.errstate(invalid="raise"), pytest.raises(ValueError):
         OperatorMatrix(2, entries, hermitian=True)
 
 
