@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,13 @@ from modlab.errors import (
     PhaseWrapWarning,
     ZeroState,
 )
-from modlab.evolve import _sector_translations, _strang, _two_particle_potential
+from modlab import _fft
+from modlab.evolve import (
+    SECTOR_WEIGHT_FLOOR,
+    _sector_translations,
+    _strang,
+    _two_particle_potential,
+)
 
 
 def test_free_particle_drift():
@@ -296,6 +303,102 @@ def test_sector_translations_match_public_route():
     assert abs(pairs[0][0].imag) > 0.01
     with pytest.raises(NonFiniteAmplitude):
         _sector_translations(np.full((g.n, g.n), np.nan, dtype=complex), g, L)
+
+
+def _banded_momenta(g, j0):
+    # momentum amplitudes on the 9 lattice momenta around j0, zero elsewhere
+    c = np.zeros(g.n, dtype=complex)
+    j = np.arange(-4, 5)
+    c[(j0 + j) % g.n] = np.exp(-(j**2) / 8.0) * np.exp(0.3j * j)
+    return c
+
+
+def _sector_shares(amps):
+    # share of the probability in each total-momentum sector J = j1 + j2 mod n,
+    # from the 2-D momentum density
+    n = amps.shape[0]
+    density = np.abs(np.fft.fft2(amps)) ** 2
+    j1 = np.arange(n)
+    shares = np.array([np.sum(density[j1, (J - j1) % n]) for J in range(n)])
+    return shares / np.sum(shares)
+
+
+def test_two_particle_steps_only_rows_above_the_floor(monkeypatch):
+    # two band-limited particles occupy 17 of the 64 total-momentum sectors;
+    # the other rows hold FFT roundoff, at least 4x below the floor
+    g = make_grid(64, -16.0, 32.0)
+    amps = np.outer(np.fft.ifft(_banded_momenta(g, 3)), np.fft.ifft(_banded_momenta(g, -5)))
+    state = TwoParticleState(g, amps).normalized()
+    shares = _sector_shares(state.amps)
+    above = int(np.sum(shares > SECTOR_WEIGHT_FLOOR))
+    assert above == 17
+    assert np.all((shares > 4 * SECTOR_WEIGHT_FLOOR) | (shares < SECTOR_WEIGHT_FLOOR / 4))
+
+    step_rows = []
+
+    def recording(transform):
+        def wrapped(a, axis=None, overwrite=False):
+            if axis == -1 and overwrite:  # the per-step transforms
+                step_rows.append(a.shape[0])
+            return transform(a, axis=axis, overwrite=overwrite)
+        return wrapped
+
+    monkeypatch.setattr(_fft, "fft", recording(_fft.fft))
+    monkeypatch.setattr(_fft, "ifft", recording(_fft.ifft))
+    steps = 12
+    snaps = propagate_two(state, PotentialSpec.sampled(_asymmetric_v(g.x)),
+                          PropagatorConfig(dt=0.005, steps=steps), snapshot_every=4)
+    assert step_rows == [above] * (2 * steps)
+    assert len(snaps) == 4 and all(s.amps.shape == (g.n, g.n) for s in snaps)
+
+
+def test_two_particle_screening_against_explicit_2d_strang():
+    # plant one sector below the floor and empty one occupied sector; the
+    # screened run must stay within 2 sqrt(dropped share) of the unscreened
+    # explicit loop of test_two_particle_matches_explicit_2d_strang
+    g = make_grid(64, -16.0, 32.0)
+    n = g.n
+    phi = np.outer(_banded_momenta(g, 3), _banded_momenta(g, -5))
+    planted, emptied = 20, (3 - 5) % n
+    phi[5, (planted - 5) % n] = 1e-17
+    j1 = np.arange(n)
+    phi[j1, (emptied - j1) % n] = 0.0
+    state = TwoParticleState(g, np.fft.ifft2(phi)).normalized()
+    shares = _sector_shares(state.amps)
+    assert 0.0 < shares[planted] < SECTOR_WEIGHT_FLOOR
+    assert shares[emptied] < SECTOR_WEIGHT_FLOOR
+    dropped = float(np.sum(shares[shares <= SECTOR_WEIGHT_FLOOR]))
+
+    dt, steps, every = 0.005, 40, 20
+    v = _asymmetric_v(g.x)
+    snaps = propagate_two(state, PotentialSpec.sampled(v),
+                          PropagatorConfig(dt=dt, steps=steps), snapshot_every=every)
+
+    r = np.mod(g.x[:, None] - g.x[None, :] - g.x0, g.length) + g.x0
+    half_v = np.exp(-0.5j * dt * _asymmetric_v(r))
+    kinetic = np.exp(-0.5j * dt * (g.p_raw[:, None] ** 2 + g.p_raw[None, :] ** 2))
+    psi = state.amps.copy()
+    expected = [psi]
+    for step in range(1, steps + 1):
+        psi = half_v * np.fft.ifft2(kinetic * np.fft.fft2(half_v * psi))
+        if step % every == 0:
+            expected.append(psi)
+    bound = 2.0 * math.sqrt(dropped) * np.linalg.norm(state.amps) + 1e-12
+    assert len(snaps) == len(expected) == 3
+    for s, e in zip(snaps, expected):
+        assert np.max(np.abs(s.amps - e)) < bound
+
+
+def test_two_particle_zero_state_steps_an_empty_stack():
+    g = make_grid(64, -16.0, 32.0)
+    zero = TwoParticleState(g, np.zeros((g.n, g.n), dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        snaps = propagate_two(zero, PotentialSpec.zero(), PropagatorConfig(dt=0.005, steps=4),
+                              snapshot_every=2)
+    assert len(snaps) == 3
+    for s in snaps:
+        assert s.amps.shape == (g.n, g.n) and not np.any(s.amps)
 
 
 def test_far_field_is_momentum_distribution():

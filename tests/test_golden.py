@@ -1,0 +1,98 @@
+"""Golden records: the nine seed-7 CI configs, run in process, against the CSV
+records committed under tests/golden.
+
+Param lines, summary names, column names and row counts must match exactly.
+Every value must agree within 1e-12 relative to itself plus 1e-12 of the
+largest |value| in its column (the summary counts as one column), so a change
+in the last bits passes and a change in the results does not. Byte identity is
+reported without failing, because it can differ between numpy versions.
+
+A change that is meant to move the records regenerates the goldens from the
+tree it changes:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from modlab import ExperimentConfig, run
+
+GOLDEN = Path(__file__).parent / "golden"
+SEED = 7
+RTOL = ATOL = 1e-12
+
+# the CI configs, one per experiment
+CONFIGS = {
+    "two-slit": {"alpha": "3.141592653589793"},
+    "grating": {"phase_pattern": "alternating"},
+    "eom-check": {},
+    "uncertainty": {"widths": "0.4,0.6,0.8"},
+    "classical-limit": {},
+    "two-particle": {},
+    "scattering": {"alpha": "0.37"},
+    "random-walk": {"n_electrons": "25", "n_repeats": "400"},
+    "taylor-demo": {"mode": "two-bump"},
+}
+
+
+def _write(name: str, out_dir) -> Path:
+    return run(ExperimentConfig(name, dict(CONFIGS[name]), SEED, str(out_dir), "csv"),
+               with_path=True)[1]
+
+
+def _parse(text: str):
+    """(param lines, {summary name: value}, column names, 2-D value array)."""
+    lines = text.splitlines()
+    params = [ln for ln in lines if ln.startswith("# param ")]
+    summary = {}
+    for ln in lines:
+        if ln.startswith("# summary "):
+            key, _, value = ln[len("# summary "):].partition(" = ")
+            summary[key] = float(value)
+    body = [ln for ln in lines if not ln.startswith("#")]
+    names = body[0].split(",")
+    values = np.array([[float(v) for v in ln.split(",")] for ln in body[1:]])
+    return params, summary, names, values.reshape(len(body) - 1, len(names))
+
+
+def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b| <= RTOL |b| + ATOL max|b| over axis 0 (a column)."""
+    scale = np.max(np.abs(b), axis=0, initial=0.0)
+    return np.abs(a - b) <= RTOL * np.abs(b) + ATOL * scale
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_record_matches_golden(name, tmp_path, record_property):
+    golden = (GOLDEN / f"{name}-{SEED}.csv").read_text(encoding="utf-8")
+    text = _write(name, tmp_path).read_text(encoding="utf-8")
+    params, summary, names, values = _parse(text)
+    g_params, g_summary, g_names, g_values = _parse(golden)
+    assert params == g_params
+    assert list(summary) == list(g_summary)
+    assert names == g_names
+    assert values.shape == g_values.shape
+    bad = ~_close(values, g_values)
+    assert not bad.any(), (
+        f"{name}: {int(bad.sum())} values moved beyond tolerance, first in column "
+        f"{names[np.argwhere(bad)[0][1]]!r}")
+    s, gs = np.array(list(summary.values())), np.array(list(g_summary.values()))
+    assert _close(s, gs).all(), f"{name}: summary moved beyond tolerance"
+    identical = text == golden
+    record_property("byte_identical", identical)
+    if not identical:
+        warnings.warn(f"{name}: record agrees with its golden within tolerance "
+                      "but is not byte-identical")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in CONFIGS:
+            path = _write(name, tmp)
+            (GOLDEN / path.name).write_bytes(path.read_bytes())
+            print(f"wrote {GOLDEN / path.name}", file=sys.stderr)

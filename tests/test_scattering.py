@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import jv
+from scipy.special import erf, jv
 
 from modlab import (
     FluxParam,
@@ -16,7 +16,7 @@ from modlab import (
     scattering_profile,
 )
 from modlab.errors import OutOfEnvelope, TruncationTooSmall
-from modlab.scattering import _wave_coefficients
+from modlab.scattering import _psi, _wave_coefficients
 
 # oracle values frozen from an extended-precision evaluation (40 digits)
 J_ONE_THIRD_AT_2 = 0.4429398181485762122504
@@ -193,6 +193,20 @@ def test_wave_coefficients_match_scipy():
             orders = np.abs(ns - alpha)
             expected = jv(orders, kr) * np.exp(-0.5j * math.pi * orders)
             assert np.max(np.abs(coefs - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("kr", [0.3, 10.0, 40.0, 100.0, 150.0])
+def test_half_flux_series_meets_closed_form(kr):
+    # at alpha = 1/2 the series sums to
+    # e^{i theta/2} e^{-i kr cos theta} erf(e^{-i pi/4} sqrt(2 kr) cos(theta/2))
+    # (Aharonov & Bohm 1959); with the experiment's default n_max the error
+    # stays under the tail estimate, plus roundoff, which dominates at kr <= 40
+    thetas = -math.pi + 2.0 * math.pi * np.arange(64) / 64
+    cfg = ScatterConfig(k=1.0, r=kr, thetas=tuple(thetas), n_max=math.ceil(kr) + 40)
+    values, tail = _psi(FluxParam(0.5), cfg, thetas)
+    closed = (np.exp(0.5j * thetas - 1j * kr * np.cos(thetas))
+              * erf(np.exp(-0.25j * math.pi) * math.sqrt(2.0 * kr) * np.cos(thetas / 2.0)))
+    assert np.max(np.abs(values - closed)) <= tail + 1e-12
 
 
 def test_wave_coefficients_envelope_rejects_non_finite_flux():
