@@ -195,8 +195,7 @@ def sample_detections(
     cdf = _lattice_cdf(dens)
     ps = _sample_lattice_p(dens, cdf, seed, np.arange(n_trials, dtype=np.uint64))
     recoil = -np.cumsum(ps)
-    return [DetectionSample(trial=t, p_detected=p, recoil_cumulative=r)
-            for t, (p, r) in enumerate(zip(ps.tolist(), recoil.tolist()))]
+    return list(map(DetectionSample, range(n_trials), ps.tolist(), recoil.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,14 @@ class Grid:
         ps.setflags(write=False)
         return ps
 
+    @cached_property
+    def origin_phase(self) -> np.ndarray:
+        """exp(-i p x0 / hbar) on `p`: the phase `to_momentum` applies for a lattice
+        that starts at x0 rather than 0."""
+        phase = np.exp(-1j * self.p * self.x0 / self.hbar)
+        phase.setflags(write=False)
+        return phase
+
 
 def make_grid(n: int, x0: float, length: float, hbar: float = 1.0) -> Grid:
     return Grid(n=n, x0=float(x0), length=float(length), hbar=float(hbar))
@@ -143,8 +151,7 @@ def circulant(c: np.ndarray, shift: int = 0) -> np.ndarray:
 def to_momentum(psi: WaveFunction) -> MomentumAmplitudes:
     g = psi.grid
     raw = _fft.fft(psi.amps)
-    phase = np.exp(-1j * g.p * g.x0 / g.hbar)
-    amps = np.fft.fftshift(raw) * phase * (g.dx / math.sqrt(2.0 * math.pi * g.hbar))
+    amps = np.fft.fftshift(raw) * g.origin_phase * (g.dx / math.sqrt(2.0 * math.pi * g.hbar))
     return MomentumAmplitudes(g, amps)
 
 

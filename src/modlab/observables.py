@@ -22,6 +22,7 @@ from .errors import (
     ArgumentError,
     DegreeCap,
     DegreeOverflowWarning,
+    GridMismatch,
     InternalInconsistency,
     NoPeaks,
     NonUniformSampling,
@@ -172,8 +173,9 @@ def eom_residual(
 ) -> np.ndarray:
     """Residual of d/dt <T_L> = (i/hbar) <(V(x) - V(x+L)) T_L> along a trajectory.
 
-    snapshots must be uniformly spaced by dt (pass `times` to have the spacing
-    verified); L must be a lattice multiple so V(x + L) is an exact roll.
+    snapshots must share one grid and be uniformly spaced by dt (pass `times`
+    to have the spacing verified); L must be a lattice multiple so V(x + L)
+    is an exact roll.
     Returns |centered difference - right-hand side| at each interior snapshot.
     """
     if len(snapshots) < 3:
@@ -185,15 +187,25 @@ def eom_residual(
         ):
             raise NonUniformSampling("snapshot times are not uniformly spaced by dt")
     g = snapshots[0].grid
+    if any(wf.grid is not g and wf.grid != g for wf in snapshots):
+        raise GridMismatch("snapshots live on different grids")
+    n, dx = g.n, g.dx
+    m = lattice_steps(g, L) % n
     v = V.values(g)
-    dv = v - np.roll(v, -lattice_steps(g, L))  # V(x) - V(x + L)
+    dv = v - np.roll(v, -m)  # V(x) - V(x + L)
 
+    # each snapshot's two overlaps, as `inner` takes them, on two reused rows
     t_vals = np.empty(len(snapshots), dtype=complex)
     rhs = np.empty(len(snapshots), dtype=complex)
+    shifted = np.empty(n, dtype=complex)  # psi(x + L): the index roll `translate` makes
+    weighted = np.empty(n, dtype=complex)  # (V(x) - V(x + L)) psi(x + L)
     for i, wf in enumerate(snapshots):
-        shifted = translate(wf, L)
-        t_vals[i] = inner(wf, shifted)
-        rhs[i] = (1j / g.hbar) * inner(wf, WaveFunction(g, dv * shifted.amps))
+        a = wf.amps
+        shifted[:n - m] = a[m:]
+        shifted[n - m:] = a[:m]
+        np.multiply(dv, shifted, out=weighted)
+        t_vals[i] = complex(np.vdot(a, shifted) * dx)
+        rhs[i] = (1j / g.hbar) * complex(np.vdot(a, weighted) * dx)
     deriv = (t_vals[2:] - t_vals[:-2]) / (2.0 * dt)
     return np.abs(deriv - rhs[1:-1])
 

@@ -122,8 +122,10 @@ def weyl_matrix(grid: Grid, n_x: int, m_p: int) -> OperatorMatrix:
         for i in range(0, grid.n, _BLOCK):
             mid = np.add.outer(grid.x[i:i + _BLOCK], grid.x)
             mid *= 0.5
-            mid **= n_x
-            w[i:i + _BLOCK] *= mid
+            pw = mid if n_x == 1 else mid * mid  # repeated products: ** calls libm pow
+            for _ in range(n_x - 2):
+                pw *= mid
+            w[i:i + _BLOCK] *= pw
     return OperatorMatrix(grid.n, w, hermitian=True)
 
 

@@ -253,6 +253,21 @@ def test_eom_check_keeps_one_level_of_snapshots(tmp_path):
     assert peak < 12 * 2**20
 
 
+def test_two_particle_keeps_one_stack_at_the_grid_cap(tmp_path):
+    # at n = 512 one n x n complex stack is 4 MiB; the run's traced peak is
+    # 24.3 MiB, so a second stack alive at once would cross 28 MiB
+    cfg = ExperimentConfig(name="two-particle", out_dir=str(tmp_path),
+                           params={"n": "512", "length": "64", "steps": "40",
+                                   "snapshot_every": "20"})
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * 2**20
+
+
 # --- schemas and dispatch ----------------------------------------------------------------
 
 def test_validate_params_reports_everything_at_once():

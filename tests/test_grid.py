@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from modlab import (
     PacketSpec,
@@ -13,6 +14,7 @@ from modlab import (
     to_momentum,
     translate,
 )
+from modlab import _fft
 from modlab.errors import GridMismatch, NonPositiveDomain, NonPowerOfTwo, ZeroState
 from modlab.grid import _translate_spectral, circulant
 
@@ -85,6 +87,29 @@ def test_to_momentum_gaussian_width():
     dens = mom.density()
     sigma_p = math.sqrt(float(np.sum(dens * mom.grid.p**2) * g.dp))
     assert sigma_p == pytest.approx(g.hbar / (2.0 * sigma), rel=0.01)
+
+
+def test_to_momentum_is_the_explicit_expression():
+    g = make_grid(256, -10.0, 40.0, 0.7)
+    rng = np.random.default_rng(13)
+    psi = WaveFunction(g, rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
+    expected = (np.fft.fftshift(scipy.fft.fftn(psi.amps)) * np.exp(-1j * g.p * g.x0 / g.hbar)
+                * (g.dx / math.sqrt(2.0 * math.pi * g.hbar)))
+    assert np.array_equal(to_momentum(psi).amps, expected)
+    with pytest.raises(ValueError):
+        g.origin_phase[0] = 1.0
+
+
+@pytest.mark.parametrize("n", [8, 256, 2048])
+def test_fft_of_a_row_matches_the_nd_entry(n):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=n) + 1j * rng.normal(size=n)
+    assert np.array_equal(_fft.fft(a), scipy.fft.fftn(a))
+    assert np.array_equal(_fft.ifft(a), scipy.fft.ifftn(a))
+    assert np.array_equal(_fft.fft(a.copy(), overwrite=True), scipy.fft.fftn(a))
+    assert np.array_equal(_fft.ifft(a.copy(), overwrite=True), scipy.fft.ifftn(a))
+    b = a.reshape(8, -1)  # a stack still gets the 2-D transform
+    assert np.array_equal(_fft.fft(b), scipy.fft.fftn(b))
 
 
 def test_momentum_round_trip():

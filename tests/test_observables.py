@@ -11,6 +11,7 @@ from modlab import (
     WaveFunction,
     eom_residual,
     fringe_peaks,
+    inner,
     make_grid,
     make_packet,
     make_two_slit,
@@ -18,12 +19,14 @@ from modlab import (
     propagate,
     taylor_divergence_demo,
     to_momentum,
+    translate,
     translation_expect,
     tv_from_uniform,
     weyl_moment,
 )
 from modlab.errors import (
     DegreeCap,
+    GridMismatch,
     NonUniformSampling,
     NoPeaks,
     OffLatticeL,
@@ -259,6 +262,31 @@ def test_eom_residual_guards():
                      times=np.array([0.0, 1e-3, 2.5e-3, 3e-3, 4e-3]))
     with pytest.raises(ValueError):
         eom_residual(snaps[:2], PotentialSpec.zero(), 8.0, 1e-3)
+
+
+def test_eom_residual_matches_the_per_snapshot_expression():
+    g = make_grid(256, -10.0, 40.0, 0.7)  # dx = 5/32, so m * dx is exact
+    rng = np.random.default_rng(12)
+    V = PotentialSpec.sampled(rng.normal(size=g.n))
+    snaps = [WaveFunction(g, rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
+             for _ in range(6)]
+    dt = 1e-3
+    for m in (0, 1, 8, -8, g.n - 1, g.n, g.n + 8, -300):
+        L = m * g.dx
+        v = V.values(g)
+        dv = v - np.roll(v, -m)
+        t_vals, rhs = [], []
+        for wf in snaps:
+            shifted = translate(wf, L)
+            t_vals.append(inner(wf, shifted))
+            rhs.append((1j / g.hbar) * inner(wf, WaveFunction(g, dv * shifted.amps)))
+        t_vals, rhs = np.array(t_vals), np.array(rhs)
+        expected = np.abs((t_vals[2:] - t_vals[:-2]) / (2.0 * dt) - rhs[1:-1])
+        assert np.array_equal(eom_residual(snaps, V, L, dt), expected), m
+    other = make_grid(256, -10.0, 40.0, 0.5)
+    mixed = snaps[:3] + [WaveFunction(other, snaps[3].amps)]
+    with pytest.raises(GridMismatch):
+        eom_residual(mixed, V, 8 * g.dx, dt)
 
 
 # --- fringe_peaks ---------------------------------------------------------------
