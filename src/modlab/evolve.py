@@ -146,24 +146,33 @@ def _strang(
     entry [J, j1] of `fft(rows, axis=-1)` is the amplitude at
     (p_raw[j1], p_raw[(J - j1) mod n]).
 
-    Each step multiplies by exp(-i v dt/2h), transforms each row, applies the
-    kinetic phase, transforms back and multiplies by exp(-i v dt/2h) again.
+    Each step transforms each row, applies the kinetic phase and transforms
+    back, between potential kicks. Strang's two half kicks exp(-i v dt/2h)
+    that meet between steps are merged into one full kick exp(-i v dt/h)
+    (computed as the square of the half kick): the stepper applies a half
+    kick before step 1, a full kick after each step that is not a snapshot,
+    and at a snapshot a half kick, the observation, then a half kick again
+    unless it is the last step. With every = 1 that is the same products in
+    the same order as two half kicks per step.
 
-    At steps 0, every, ..., steps the stepper hands its rows to `observe` and
-    returns the list of what it returned. `observe` must not modify the rows.
-    By default it returns position-basis states of the input's type (rows
-    changed back to (x1, x2) through `_from_sectors`), each checked for
-    non-finite values; snapshot 0 is then a copy of the input.
+    At steps 0, every, ..., steps the stepper calls `observe(rows,
+    sectors=...)` and returns the list of what it returned. `observe` must
+    not modify the rows. `sectors` is None when the rows are all n of them
+    (a one-particle row, or two-particle snapshot 0); otherwise it holds the
+    total-momentum index J of each row handed over. By default the observer
+    returns position-basis states of the input's type (rows changed back to
+    (x1, x2) through `_from_sectors`), each checked for non-finite values;
+    snapshot 0 is then a copy of the input.
 
     Sector screening: a row's weight never changes, and a zero row stays
     exactly zero under the step. So after snapshot 0 the two-particle path
     steps only the rows holding more than `SECTOR_WEIGHT_FLOOR` of the total
-    weight (85 of 256 for the `two-particle` experiment at its defaults). The
-    entry buffer is zeroed and, at each later snapshot, the stepped rows are
-    scattered back into it, so `observe` still gets all n rows. If the rows
-    dropped hold a share delta of the probability, each snapshot moves by at
-    most sqrt(delta) of the norm, and each translation expectation by at
-    most 2 delta.
+    weight (85 of 256 for the `two-particle` experiment at its defaults), and
+    `observe` gets that compact stack with its sector indices. Only the
+    default observer scatters it into the zeroed entry buffer to rebuild
+    the position state. If the rows dropped hold a share delta of the
+    probability, each snapshot moves by at most sqrt(delta) of the norm,
+    and each translation expectation by at most 2 delta.
 
     Phase-wrap contract: the kinetic phase per step, p^2 dt/2mh (for two
     particles (p1^2 + p2^2) dt/2mh), is ambiguous once it reaches pi. The
@@ -196,35 +205,43 @@ def _strang(
                 stacklevel=3,
             )
     half_v = np.exp(-0.5j * v * cfg.dt / g.hbar)
+    full_v = half_v * half_v
     kinetic = np.exp(-0.5j * p2 * cfg.dt / (cfg.mass * g.hbar))
 
     if observe is None:
-        def observe(rows):
+        buffer = rows  # two particles: zeroed after screening, then scattered into
+
+        def observe(rows, sectors=None):
+            if sectors is not None:
+                buffer[sectors] = rows
+                rows = buffer
             amps = positions(rows)
             _check_finite(amps)
             return type(state)(g, amps)
 
         snapshots = [type(state)(g, state.amps.copy())]
     else:
-        snapshots = [observe(rows)]
-    full = None
+        buffer = None
+        snapshots = [observe(rows, sectors=None)]
+    sectors = None
     if state.rank == 2:
         weight = np.sum(np.abs(rows) ** 2, axis=-1)
-        keep = np.flatnonzero(weight > SECTOR_WEIGHT_FLOOR * np.sum(weight))
-        full, rows, kinetic = rows, rows[keep], kinetic[keep]
-        full.fill(0)
+        sectors = np.flatnonzero(weight > SECTOR_WEIGHT_FLOOR * np.sum(weight))
+        rows, kinetic = rows[sectors], kinetic[sectors]
+        if buffer is not None:
+            buffer.fill(0)
+    rows *= half_v
     for step in range(1, cfg.steps + 1):
-        rows *= half_v
         rows = _fft.fft(rows, axis=-1, overwrite=True)
         rows *= kinetic
         rows = _fft.ifft(rows, axis=-1, overwrite=True)
+        if step % every:
+            rows *= full_v
+            continue
         rows *= half_v
-        if step % every == 0:
-            if full is None:
-                snapshots.append(observe(rows))
-            else:
-                full[keep] = rows
-                snapshots.append(observe(full))
+        snapshots.append(observe(rows, sectors=sectors))
+        if step < cfg.steps:
+            rows *= half_v
     return snapshots
 
 
@@ -296,20 +313,26 @@ def propagate_two(
     return _strang(state, _two_particle_potential(state.grid, v12), cfg, snapshot_every)
 
 
-def _sector_translations(rows: np.ndarray, grid: Grid, L: float) -> tuple[complex, complex]:
+def _sector_translations(
+    rows: np.ndarray, grid: Grid, L: float, sectors: np.ndarray | None = None
+) -> tuple[complex, complex]:
     """<exp(i (p1 + p2) L / hbar)> and <exp(i p1 L / hbar)> read from `_strang`'s
     two-particle rows, which are checked for non-finite values first.
 
     The joint momentum probabilities are |fft(rows, axis=-1)|^2, with entry
-    [J, j1] at (p_raw[j1], p_raw[(J - j1) mod n]). L is a lattice multiple, so
-    exp(i (p1 + p2) L / hbar) equals exp(i p_raw[J] L / hbar) exactly, lattice
-    aliasing included: the first expectation needs only the weight of each
-    row, and the second the weight of each column.
+    [J, j1] at (p_raw[j1], p_raw[(J - j1) mod n]). `sectors` holds the J of
+    each row when the rows are the stepped stack only; None means all n rows
+    in order. L is a lattice multiple, so exp(i (p1 + p2) L / hbar) equals
+    exp(i p_raw[J] L / hbar) exactly, lattice aliasing included: the first
+    expectation needs only the weight of each row, and the second the weight
+    of each column.
     """
     _check_finite(rows)
     weights = np.abs(_fft.fft(rows, axis=-1)) ** 2
     phase = np.exp(1j * grid.p_raw * L / grid.hbar) / np.sum(weights)
-    return complex(phase @ np.sum(weights, axis=1)), complex(phase @ np.sum(weights, axis=0))
+    row_phase = phase if sectors is None else phase[sectors]
+    return (complex(row_phase @ np.sum(weights, axis=1)),
+            complex(phase @ np.sum(weights, axis=0)))
 
 
 def translation_expect_two(

@@ -79,11 +79,19 @@ def translation_expect(psi: WaveFunction, L: float, k: int = 1) -> complex:
     """
     if k < 1:
         raise ArgumentError(f"k must be >= 1, got {k}")
+    return _translation_expect(psi, L, k, to_momentum(psi).density() * psi.grid.dp,
+                               psi.norm())
+
+
+def _translation_expect(
+    psi: WaveFunction, L: float, k: int, weights: np.ndarray, norm: float
+) -> complex:
+    """`translation_expect` given psi's momentum probabilities and norm, so a
+    caller asking for several k transforms the state once."""
     g = psi.grid
     pos_val = inner(psi, translate(psi, k * L))
-    weights = to_momentum(psi).density() * g.dp
     mom_val = complex(np.sum(weights * np.exp(1j * g.p * k * L / g.hbar)))
-    tol = _CROSS_CHECK_TOL * max(1.0, psi.norm() ** 2)
+    tol = _CROSS_CHECK_TOL * max(1.0, norm**2)
     if abs(pos_val - mom_val) > tol:
         raise InternalInconsistency(
             f"overlap form {pos_val} and spectral form {mom_val} disagree by "
@@ -123,7 +131,9 @@ def modular_distribution(
         )
     weights = to_momentum(psi).density() * g.dp
     density = fold_density(g.p, weights, period, bins)
-    fourier = np.array([translation_expect(psi, L, k) for k in range(1, k_max + 1)])
+    norm = psi.norm()
+    fourier = np.array([_translation_expect(psi, L, k, weights, norm)
+                        for k in range(1, k_max + 1)])
     return ModularDistribution(L=L, period=period, bins=bins, density=density, fourier=fourier)
 
 

@@ -352,18 +352,24 @@ def test_two_particle_steps_only_rows_above_the_floor(monkeypatch):
     assert len(snaps) == 4 and all(s.amps.shape == (g.n, g.n) for s in snaps)
 
 
-def test_two_particle_screening_against_explicit_2d_strang():
-    # plant one sector below the floor and empty one occupied sector; the
-    # screened run must stay within 2 sqrt(dropped share) of the unscreened
-    # explicit loop of test_two_particle_matches_explicit_2d_strang
-    g = make_grid(64, -16.0, 32.0)
+def _planted_and_emptied(g):
+    # two band-limited particles with one sector planted below the floor and
+    # one occupied sector emptied: (state, planted J, emptied J)
     n = g.n
     phi = np.outer(_banded_momenta(g, 3), _banded_momenta(g, -5))
     planted, emptied = 20, (3 - 5) % n
     phi[5, (planted - 5) % n] = 1e-17
     j1 = np.arange(n)
     phi[j1, (emptied - j1) % n] = 0.0
-    state = TwoParticleState(g, np.fft.ifft2(phi)).normalized()
+    return TwoParticleState(g, np.fft.ifft2(phi)).normalized(), planted, emptied
+
+
+def test_two_particle_screening_against_explicit_2d_strang():
+    # plant one sector below the floor and empty one occupied sector; the
+    # screened run must stay within 2 sqrt(dropped share) of the unscreened
+    # explicit loop of test_two_particle_matches_explicit_2d_strang
+    g = make_grid(64, -16.0, 32.0)
+    state, planted, emptied = _planted_and_emptied(g)
     shares = _sector_shares(state.amps)
     assert 0.0 < shares[planted] < SECTOR_WEIGHT_FLOOR
     assert shares[emptied] < SECTOR_WEIGHT_FLOOR
@@ -387,6 +393,63 @@ def test_two_particle_screening_against_explicit_2d_strang():
     assert len(snaps) == len(expected) == 3
     for s, e in zip(snaps, expected):
         assert np.max(np.abs(s.amps - e)) < bound
+
+
+def test_sector_translations_read_the_stepped_rows_only():
+    # after snapshot 0 the hook gets the compact stack and its sector indices;
+    # its pairs must meet the public route on the default snapshots within
+    # the screening bound 2 delta
+    g = make_grid(64, -16.0, 32.0)
+    state, planted, emptied = _planted_and_emptied(g)
+    shares = _sector_shares(state.amps)
+    kept = int(np.sum(shares > SECTOR_WEIGHT_FLOOR))
+    dropped = float(np.sum(shares[shares <= SECTOR_WEIGHT_FLOOR]))
+    v = PotentialSpec.sampled(_asymmetric_v(g.x))
+    cfg = PropagatorConfig(dt=0.005, steps=40)
+    L = 2.0
+    seen = []
+
+    def hook(rows, sectors=None):
+        seen.append((rows.shape[0], sectors))
+        return _sector_translations(rows, g, L, sectors)
+
+    pairs = _strang(state, _two_particle_potential(g, v), cfg, 20, hook)
+    snaps = propagate_two(state, v, cfg, snapshot_every=20)
+    assert [count for count, _ in seen] == [g.n, kept, kept]
+    assert seen[0][1] is None
+    for _, sectors in seen[1:]:
+        assert len(sectors) == kept and planted not in sectors and emptied not in sectors
+    bound = 2.0 * dropped + 1e-12
+    assert len(pairs) == len(snaps) == 3
+    for (t12, t1), s in zip(pairs, snaps):
+        assert abs(t12 - translation_expect_two(s, L, 1, 1)) < bound
+        assert abs(t1 - translation_expect_two(s, L, 1, 0)) < bound
+    assert abs(pairs[-1][0].imag) > 0.01
+
+
+@pytest.mark.parametrize("every", [1, 3, 12])
+def test_fused_kicks_match_unfused_1d_strang(every):
+    # oracle: two half kicks per step, as the splitting is written; the
+    # stepper merges the kicks that meet between snapshots, so this pins the
+    # kick order at snapshot steps and at the last step
+    hbar, mass, dt, steps = 0.7, 1.3, 0.01, 12
+    g = make_grid(256, -16.0, 32.0, hbar)
+    psi = make_packet(g, PacketSpec("gaussian", -1.0, 1.0, 1.5))
+    v = _asymmetric_v(g.x)
+    snaps = propagate(psi, PotentialSpec.sampled(v),
+                      PropagatorConfig(dt=dt, steps=steps, mass=mass), snapshot_every=every)
+
+    half_v = np.exp(-0.5j * v * dt / hbar)
+    kinetic = np.exp(-0.5j * g.p_raw**2 * dt / (mass * hbar))
+    amps = psi.amps
+    expected = [amps]
+    for step in range(1, steps + 1):
+        amps = half_v * np.fft.ifft(kinetic * np.fft.fft(half_v * amps))
+        if step % every == 0:
+            expected.append(amps)
+    assert len(snaps) == len(expected) == steps // every + 1
+    for s, e in zip(snaps, expected):
+        assert np.max(np.abs(s.amps - e)) < 1e-12
 
 
 def test_two_particle_zero_state_steps_an_empty_stack():

@@ -11,9 +11,11 @@ A change that is meant to move the records regenerates the goldens from the
 tree it changes:
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, for each record it rewrites, the largest absolute change per
+column and summary value against the file it replaces, or "byte-identical".
 """
 
-import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -90,9 +92,27 @@ def test_record_matches_golden(name, tmp_path, record_property):
                       "but is not byte-identical")
 
 
+def _changes(old: str, new: str) -> str:
+    """The largest absolute change per column and summary value from the
+    record `old` to `new`, or "byte-identical"."""
+    if old == new:
+        return "byte-identical"
+    _, summary, names, values = _parse(new)
+    _, g_summary, g_names, g_values = _parse(old)
+    if names != g_names or values.shape != g_values.shape or list(summary) != list(g_summary):
+        return "columns, rows or summary names changed"
+    moved = dict(zip(names, np.max(np.abs(values - g_values), axis=0, initial=0.0)))
+    moved.update((f"summary {k}", abs(v - g_summary[k])) for k, v in summary.items())
+    return "max |change| " + ", ".join(f"{k} {v:.2g}" for k, v in moved.items())
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name in CONFIGS:
             path = _write(name, tmp)
-            (GOLDEN / path.name).write_bytes(path.read_bytes())
-            print(f"wrote {GOLDEN / path.name}", file=sys.stderr)
+            target = GOLDEN / path.name
+            new = path.read_text(encoding="utf-8")
+            old = target.read_text(encoding="utf-8") if target.exists() else None
+            target.write_bytes(path.read_bytes())
+            print(f"wrote {target}: "
+                  + ("new record" if old is None else _changes(old, new)))
