@@ -191,7 +191,7 @@ def sample_detections(
     bookkeeping: detected momentum plus recoil is exactly zero).
     """
     if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+        raise ArgumentError(f"n_trials must be >= 1, got {n_trials}")
     cdf = _lattice_cdf(dens)
     ps = _sample_lattice_p(dens, cdf, seed, np.arange(n_trials, dtype=np.uint64))
     recoil = -np.cumsum(ps)
@@ -252,6 +252,8 @@ def classical_limit_experiment(
     fold cell 2*pi*hbar/L sweeps the given descending hbar values; the
     total-variation distance from uniform must flatten away.
     """
+    if not hbar_values:
+        raise ArgumentError("hbar_values needs at least one value")
     if any(h <= 0.0 for h in hbar_values):
         raise ArgumentError("hbar values must be positive")
     if any(b >= a for a, b in zip(hbar_values, hbar_values[1:])):
@@ -299,6 +301,8 @@ def random_walk_experiment(
     """
     if n_repeats < 100:
         raise ArgumentError(f"n_repeats must be >= 100, got {n_repeats}")
+    if n_electrons < 1:
+        raise ArgumentError(f"n_electrons must be >= 1, got {n_electrons}")
     psi = make_grating(grid, grating)
     far = free_far_field(psi)
     h = 2.0 * math.pi * grid.hbar

@@ -75,8 +75,8 @@ class Grid:
 
     @cached_property
     def origin_phase(self) -> np.ndarray:
-        """exp(-i p x0 / hbar) on `p`: the phase `to_momentum` applies for a lattice
-        that starts at x0 rather than 0."""
+        """exp(-i p x0 / hbar) on `p`: the phase `to_momentum` applies, and
+        `from_momentum` undoes, for a lattice that starts at x0 rather than 0."""
         phase = np.exp(-1j * self.p * self.x0 / self.hbar)
         phase.setflags(write=False)
         return phase
@@ -157,9 +157,8 @@ def to_momentum(psi: WaveFunction) -> MomentumAmplitudes:
 
 def from_momentum(mom: MomentumAmplitudes) -> WaveFunction:
     g = mom.grid
-    phase = np.exp(1j * g.p * g.x0 / g.hbar)
-    raw = np.fft.ifftshift(mom.amps * phase) / (g.dx / math.sqrt(2.0 * math.pi * g.hbar))
-    return WaveFunction(g, _fft.ifft(raw))
+    raw = np.fft.ifftshift(mom.amps * g.origin_phase.conj())
+    return WaveFunction(g, _fft.ifft(raw / (g.dx / math.sqrt(2.0 * math.pi * g.hbar))))
 
 
 def inner(psi: WaveFunction, phi: WaveFunction) -> complex:

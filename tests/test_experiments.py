@@ -26,6 +26,7 @@ from modlab import (
 )
 from modlab import experiments, records
 from modlab.errors import (
+    ArgumentError,
     DisjointnessViolated,
     PeriodUnderResolved,
     PhaseWrapWarning,
@@ -101,6 +102,12 @@ def test_sample_detections_reproducible():
     assert all(x == y for x, y in zip(a, b))
 
 
+def test_sample_detections_rejects_no_trials():
+    _, dens = point_mass_density()
+    with pytest.raises(ArgumentError):
+        sample_detections(dens, 0, seed=1)
+
+
 # --- uncertainty -------------------------------------------------------------------
 
 def test_uncertainty_experiment_rows():
@@ -138,6 +145,12 @@ def test_classical_limit_guards():
         classical_limit_experiment(1.0, [1.0, 0.5, 1.0 / 2048.0], packet, grid)
     with pytest.raises(ValueError):
         classical_limit_experiment(1.0, [0.5, 1.0], packet, grid)
+
+
+def test_classical_limit_rejects_no_hbar_values():
+    grid = make_grid(1024, -64.0, 128.0)
+    with pytest.raises(ArgumentError):
+        classical_limit_experiment(1.0, [], PacketSpec("gaussian", 0.0, 1.0), grid)
 
 
 def test_classical_limit_uniform_input_is_flat():
@@ -186,6 +199,13 @@ def test_random_walk_strict_regime_violation():
     rec = random_walk_experiment(spec, grid, 10, 100, seed=0, strict=False)
     assert rec.summary["two_point_regime"] == 0.0
     assert rec.summary["predicted_rms"] > 0.0
+
+
+@pytest.mark.parametrize("n_electrons", [0, -3])
+def test_random_walk_rejects_no_electrons(n_electrons):
+    grid = make_grid(2048, -32.0, 64.0)
+    with pytest.raises(ArgumentError):
+        random_walk_experiment(ring_spec(), grid, n_electrons, 100, seed=0)
 
 
 def test_random_walk_conservation_columns():

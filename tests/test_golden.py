@@ -16,6 +16,10 @@ which prints, for each record it rewrites, the largest absolute change per
 column and summary value against the file it replaces, or "byte-identical".
 """
 
+import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -90,6 +94,41 @@ def test_record_matches_golden(name, tmp_path, record_property):
     if not identical:
         warnings.warn(f"{name}: record agrees with its golden within tolerance "
                       "but is not byte-identical")
+
+
+# A fresh interpreter in which importing scipy fails runs every CI config
+# through the CLI: the package's runtime needs numpy alone.
+_WITHOUT_SCIPY = """
+import json, sys
+from pathlib import Path
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from modlab.cli import main
+
+configs, out = json.loads(sys.argv[1]), Path(sys.argv[2])
+codes = {}
+for name, params in configs.items():
+    cfg = out / f"{name}.cfg"
+    cfg.write_text("".join(f"{k} = {v}\\n" for k, v in params.items()), encoding="utf-8")
+    codes[name] = main([name, "--config", str(cfg), "--seed", "7", "--out", str(out)])
+print(json.dumps({"codes": codes, "scipy_loaded": "scipy" in sys.modules}))
+"""
+
+
+def test_ci_configs_run_without_scipy(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(CONFIGS),
+                           str(tmp_path)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == dict.fromkeys(CONFIGS, 0), done.stderr
+    assert not result["scipy_loaded"]
 
 
 def _changes(old: str, new: str) -> str:

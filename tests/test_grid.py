@@ -5,6 +5,7 @@ import pytest
 import scipy.fft
 
 from modlab import (
+    MomentumAmplitudes,
     PacketSpec,
     WaveFunction,
     from_momentum,
@@ -98,6 +99,32 @@ def test_to_momentum_is_the_explicit_expression():
     assert np.array_equal(to_momentum(psi).amps, expected)
     with pytest.raises(ValueError):
         g.origin_phase[0] = 1.0
+
+
+@pytest.mark.parametrize("x0,length,hbar", [
+    (-8.0, 16.0, 1.0), (-10.0, 40.0, 0.7), (-10.0, 40.0, 2.0), (-32.0, 64.0, 0.5),
+])
+def test_from_momentum_is_the_explicit_expression(x0, length, hbar):
+    g = make_grid(256, x0, length, hbar)
+    rng = np.random.default_rng(17)
+    mom = MomentumAmplitudes(g, rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
+    raw = (np.fft.ifftshift(mom.amps * np.exp(1j * g.p * g.x0 / g.hbar))
+           / (g.dx / math.sqrt(2.0 * math.pi * g.hbar)))
+    assert np.array_equal(from_momentum(mom).amps, scipy.fft.ifftn(raw))
+
+
+@pytest.mark.parametrize("shape", [(8, 32), (85, 256)])
+@pytest.mark.parametrize("axis", [0, -1])
+@pytest.mark.parametrize("overwrite", [False, True])
+def test_fft_along_one_axis_matches_scipy(shape, axis, overwrite):
+    # the in-place row transforms of the two-particle stepper: axis 0 into
+    # sectors, axis -1 at every step
+    rng = np.random.default_rng(shape[0])
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    assert np.array_equal(_fft.fft(a.copy(), axis=axis, overwrite=overwrite),
+                          scipy.fft.fft(a.copy(), axis=axis))
+    assert np.array_equal(_fft.ifft(a.copy(), axis=axis, overwrite=overwrite),
+                          scipy.fft.ifft(a.copy(), axis=axis))
 
 
 @pytest.mark.parametrize("n", [8, 256, 2048])
