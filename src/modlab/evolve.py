@@ -206,7 +206,6 @@ def _strang(
             )
     half_v = np.exp(-0.5j * v * cfg.dt / g.hbar)
     full_v = half_v * half_v
-    kinetic = np.exp(-0.5j * p2 * cfg.dt / (cfg.mass * g.hbar))
 
     if observe is None:
         buffer = rows  # two particles: zeroed after screening, then scattered into
@@ -227,9 +226,10 @@ def _strang(
     if state.rank == 2:
         weight = np.sum(np.abs(rows) ** 2, axis=-1)
         sectors = np.flatnonzero(weight > SECTOR_WEIGHT_FLOOR * np.sum(weight))
-        rows, kinetic = rows[sectors], kinetic[sectors]
+        rows, p2 = rows[sectors], p2[sectors]
         if buffer is not None:
             buffer.fill(0)
+    kinetic = np.exp(-0.5j * p2 * cfg.dt / (cfg.mass * g.hbar))
     rows *= half_v
     for step in range(1, cfg.steps + 1):
         rows = _fft.fft(rows, axis=-1, overwrite=True)

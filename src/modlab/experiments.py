@@ -176,9 +176,23 @@ def _lattice_cdf(dens: MomentumAmplitudes) -> np.ndarray:
 def _sample_lattice_p(
     dens: MomentumAmplitudes, cdf: np.ndarray, seed: int, trials: np.ndarray
 ) -> np.ndarray:
+    """Momenta at count(cdf <= u) for the uniforms keyed by (seed, trials).
+
+    A guide table of k = 2n buckets gives a binary search's index: bucket
+    j = floor(u k), exact as k is a power of two, bounds it by guide[j] and
+    guide[j + 1], and only draws in buckets where those differ are searched.
+    guide[k] is n, since a cumsum overshooting 1 leaves the cdf's tail unsorted.
+    """
+    n = dens.grid.n
+    k = 2 * n
+    guide = np.searchsorted(cdf, np.arange(k + 1) / k, side="right")
+    guide[-1] = n
     u = counter_uniform(seed, trials)
-    idx = np.searchsorted(cdf, u, side="right")
-    return dens.grid.p[np.minimum(idx, dens.grid.n - 1)]
+    j = (u * k).astype(np.intp)
+    idx = guide[j]
+    open_ = guide[j + 1] != idx
+    idx[open_] = np.searchsorted(cdf, u[open_], side="right")
+    return dens.grid.p[np.minimum(idx, n - 1)]
 
 
 def sample_detections(

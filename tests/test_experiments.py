@@ -108,6 +108,67 @@ def test_sample_detections_rejects_no_trials():
         sample_detections(dens, 0, seed=1)
 
 
+def _density(n, amps):
+    g = make_grid(n, -n / 8.0, n / 4.0)
+    return MomentumAmplitudes(g, np.asarray(amps, dtype=complex))
+
+
+def _zero_runs_density():
+    amps = np.random.default_rng(3).random(64)
+    amps[:5] = amps[20:30] = amps[55:] = 0.0
+    return _density(64, amps)
+
+
+def _overshooting_density():
+    dens = _density(8, [0, 0, 3, 3, 3, 1, 0, 0])
+    cdf = _lattice_cdf(dens)
+    assert cdf[-2] > 1.0 == cdf[-1]  # the cumsum overshoots before the pinned entry
+    return dens
+
+
+def _phase_lab_far_field():
+    spec = SlitArraySpec(m_slits=8, spacing=8.0, packet=PacketSpec("bump", -28.0, 1.5),
+                         phases=tuple(math.pi * (s % 2) for s in range(8)))
+    return to_momentum(make_grating(make_grid(4096, -64.0, 128.0), spec))
+
+
+DENSITIES = {
+    "point-mass": lambda: point_mass_density()[1],
+    "zero-runs": _zero_runs_density,
+    # weights 9:1:1:1, so cdf steps at 3/4, 5/6 and 11/12: keys j/k and
+    # products u k that are exact only because k = 2n is a power of two
+    "n=8": lambda: _density(8, [0, 0, 0, 0, 3, 1, 1, 1]),
+    "overshoot": _overshooting_density,
+    "random-walk": lambda: to_momentum(make_grating(make_grid(2048, -32.0, 64.0), ring_spec())),
+    "phase-lab": _phase_lab_far_field,
+}
+
+
+def _edge_uniforms(cdf):
+    """The uniforms on the guide's bucket edges j/k and just below (j+1)/k
+    (k = 2n), on the cdf's steps and just below them, and 0 and 1 - 2^-53."""
+    k = 2 * cdf.size
+    u = np.concatenate([np.arange(k + 1) / k, cdf, [0.0]])
+    u = np.concatenate([u, np.nextafter(u, 0.0)])
+    return u[u < 1.0]
+
+
+@pytest.mark.parametrize("edges", [False, True], ids=["seeded", "edges"])
+@pytest.mark.parametrize("case", DENSITIES)
+def test_sampler_matches_binary_search(monkeypatch, case, edges):
+    dens = DENSITIES[case]()
+    n = dens.grid.n
+    cdf = _lattice_cdf(dens)
+    trials = np.arange(20_000, dtype=np.uint64)
+    if edges:
+        edge = _edge_uniforms(cdf)
+        trials = trials[:edge.size]
+        monkeypatch.setattr(experiments, "counter_uniform", lambda seed, t: edge[t])
+    u = experiments.counter_uniform(5, trials)
+    want = dens.grid.p[np.minimum(np.searchsorted(cdf, u, side="right"), n - 1)]
+    assert np.array_equal(_sample_lattice_p(dens, cdf, 5, trials), want)
+
+
 # --- uncertainty -------------------------------------------------------------------
 
 def test_uncertainty_experiment_rows():
