@@ -157,22 +157,22 @@ def _strang(
 
     At steps 0, every, ..., steps the stepper calls `observe(rows,
     sectors=...)` and returns the list of what it returned. `observe` must
-    not modify the rows. `sectors` is None when the rows are all n of them
-    (a one-particle row, or two-particle snapshot 0); otherwise it holds the
-    total-momentum index J of each row handed over. By default the observer
-    returns position-basis states of the input's type (rows changed back to
-    (x1, x2) through `_from_sectors`), each checked for non-finite values;
-    snapshot 0 is then a copy of the input.
+    not modify the rows. `sectors` is None when the rows are the whole
+    stack (always at snapshot 0); otherwise it holds the index of each row
+    handed over, for two particles its total-momentum index J. By default
+    the observer returns position-basis states of the input's type (rows
+    changed back to (x1, x2) through `_from_sectors`), each checked for
+    non-finite values; snapshot 0 is then a copy of the input.
 
     Sector screening: a row's weight never changes, and a zero row stays
-    exactly zero under the step. So after snapshot 0 the two-particle path
-    steps only the rows holding more than `SECTOR_WEIGHT_FLOOR` of the total
-    weight (85 of 256 for the `two-particle` experiment at its defaults), and
-    `observe` gets that compact stack with its sector indices. Only the
-    default observer scatters it into the zeroed entry buffer to rebuild
-    the position state. If the rows dropped hold a share delta of the
-    probability, each snapshot moves by at most sqrt(delta) of the norm,
-    and each translation expectation by at most 2 delta.
+    exactly zero under the step. So after snapshot 0 the stepper steps only
+    the rows holding more than `SECTOR_WEIGHT_FLOOR` of the total weight
+    (85 of 256 for the `two-particle` experiment at its defaults, none for
+    a zero state), and `observe` gets that compact stack with its row
+    indices. Only the default observer scatters it into a zeroed stack to
+    rebuild the position state. If the rows dropped hold a share delta of
+    the probability, each snapshot moves by at most sqrt(delta) of the
+    norm, and each translation expectation by at most 2 delta.
 
     Phase-wrap contract: the kinetic phase per step, p^2 dt/2mh (for two
     particles (p1^2 + p2^2) dt/2mh), is ambiguous once it reaches pi. The
@@ -185,14 +185,14 @@ def _strang(
     _check_finite(state.amps)
     g = state.grid
     p2 = g.p_raw**2
-    # `rows` is a private buffer, transformed in place
+    # `rows` is a private stack, transformed in place
     if state.rank == 2:
         p2 = p2 + circulant(p2)  # [J, j1]: p_raw[j1]^2 + p_raw[(J - j1) mod n]^2
         shear = _shear(g.n)
         rows = _to_sectors(state.amps, shear)
         positions = functools.partial(_from_sectors, shear=shear)
     else:
-        rows, positions = state.amps.copy(), np.copy
+        rows, p2, positions = state.amps[None].copy(), p2[None], np.ndarray.flatten
     wrapped = p2 * (cfg.dt / (2.0 * cfg.mass * g.hbar)) >= math.pi
     if np.any(wrapped):
         weights = np.abs(_fft.fft(rows, axis=-1)) ** 2
@@ -207,28 +207,26 @@ def _strang(
     half_v = np.exp(-0.5j * v * cfg.dt / g.hbar)
     full_v = half_v * half_v
 
+    stack = rows.shape
     if observe is None:
-        buffer = rows  # two particles: zeroed after screening, then scattered into
-
         def observe(rows, sectors=None):
             if sectors is not None:
-                buffer[sectors] = rows
-                rows = buffer
+                full = np.zeros(stack, dtype=complex)
+                full[sectors] = rows
+                rows = full
             amps = positions(rows)
             _check_finite(amps)
             return type(state)(g, amps)
 
         snapshots = [type(state)(g, state.amps.copy())]
     else:
-        buffer = None
         snapshots = [observe(rows, sectors=None)]
-    sectors = None
-    if state.rank == 2:
-        weight = np.sum(np.abs(rows) ** 2, axis=-1)
-        sectors = np.flatnonzero(weight > SECTOR_WEIGHT_FLOOR * np.sum(weight))
+    weight = np.sum(np.abs(rows) ** 2, axis=-1)
+    sectors = np.flatnonzero(weight > SECTOR_WEIGHT_FLOOR * np.sum(weight))
+    if len(sectors) == len(weight):
+        sectors = None
+    else:
         rows, p2 = rows[sectors], p2[sectors]
-        if buffer is not None:
-            buffer.fill(0)
     kinetic = np.exp(-0.5j * p2 * cfg.dt / (cfg.mass * g.hbar))
     rows *= half_v
     for step in range(1, cfg.steps + 1):

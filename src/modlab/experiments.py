@@ -20,10 +20,12 @@ import numpy as np
 from . import __version__
 from .errors import (
     ArgumentError,
+    NonFiniteAmplitude,
     PeriodUnderResolved,
     RegimeViolation,
     SchemaViolation,
     UnknownExperiment,
+    ZeroState,
 )
 from .evolve import (
     PotentialSpec,
@@ -168,7 +170,12 @@ class DetectionSample:
 
 def _lattice_cdf(dens: MomentumAmplitudes) -> np.ndarray:
     weights = dens.density() * dens.grid.dp
-    cdf = np.cumsum(weights / np.sum(weights))
+    total = np.sum(weights)
+    if not np.isfinite(total):
+        raise NonFiniteAmplitude("cannot sample a non-finite density")
+    if total == 0.0:
+        raise ZeroState("cannot sample the zero density")
+    cdf = np.cumsum(weights / total)
     cdf[-1] = 1.0
     return cdf
 

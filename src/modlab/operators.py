@@ -36,7 +36,6 @@ class OperatorMatrix:
 
     dim: int
     entries: np.ndarray
-    basis: str = "position"
     hermitian: bool = False
 
     def __post_init__(self):

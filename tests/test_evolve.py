@@ -256,10 +256,25 @@ def _asymmetric_v(x):
     return 1.5 * (x > 1.03) + 0.2 * x - 3.0 * np.exp(-((x - 2.1) ** 2) / 0.5)
 
 
+def _explicit_2d_strang(state, dt, steps, every):
+    # the plain 2-D Strang loop on the (x1, x2) lattice under _asymmetric_v,
+    # evaluated at x1 - x2 wrapped into the domain; snapshots at 0, every, ...
+    g = state.grid
+    r = np.mod(g.x[:, None] - g.x[None, :] - g.x0, g.length) + g.x0
+    half_v = np.exp(-0.5j * dt * _asymmetric_v(r))
+    kinetic = np.exp(-0.5j * dt * (g.p_raw[:, None] ** 2 + g.p_raw[None, :] ** 2))
+    psi = state.amps.copy()
+    expected = [psi]
+    for step in range(1, steps + 1):
+        psi = half_v * np.fft.ifft2(kinetic * np.fft.fft2(half_v * psi))
+        if step % every == 0:
+            expected.append(psi)
+    return expected
+
+
 @pytest.mark.parametrize("x0", [-16.0, -6.0])
 def test_two_particle_matches_explicit_2d_strang(x0):
-    # oracle: the plain 2-D Strang loop on the (x1, x2) lattice, with V
-    # evaluated at x1 - x2 wrapped into the domain
+    # oracle: the plain 2-D Strang loop on the (x1, x2) lattice
     g = make_grid(256, x0, 32.0)
     mid = x0 + 16.0
     a = make_packet(g, PacketSpec("gaussian", mid - 3.0, 1.0, 2.0))
@@ -269,15 +284,7 @@ def test_two_particle_matches_explicit_2d_strang(x0):
     snaps = propagate_two(state, PotentialSpec.sampled(_asymmetric_v(g.x)),
                           PropagatorConfig(dt=dt, steps=steps), snapshot_every=every)
 
-    r = np.mod(g.x[:, None] - g.x[None, :] - x0, g.length) + x0
-    half_v = np.exp(-0.5j * dt * _asymmetric_v(r))
-    kinetic = np.exp(-0.5j * dt * (g.p_raw[:, None] ** 2 + g.p_raw[None, :] ** 2))
-    psi = state.amps.copy()
-    expected = [psi]
-    for step in range(1, steps + 1):
-        psi = half_v * np.fft.ifft2(kinetic * np.fft.fft2(half_v * psi))
-        if step % every == 0:
-            expected.append(psi)
+    expected = _explicit_2d_strang(state, dt, steps, every)
     assert len(snaps) == len(expected) == 5
     for s, e in zip(snaps, expected):
         assert np.max(np.abs(s.amps - e)) < 1e-12
@@ -380,15 +387,7 @@ def test_two_particle_screening_against_explicit_2d_strang():
     snaps = propagate_two(state, PotentialSpec.sampled(v),
                           PropagatorConfig(dt=dt, steps=steps), snapshot_every=every)
 
-    r = np.mod(g.x[:, None] - g.x[None, :] - g.x0, g.length) + g.x0
-    half_v = np.exp(-0.5j * dt * _asymmetric_v(r))
-    kinetic = np.exp(-0.5j * dt * (g.p_raw[:, None] ** 2 + g.p_raw[None, :] ** 2))
-    psi = state.amps.copy()
-    expected = [psi]
-    for step in range(1, steps + 1):
-        psi = half_v * np.fft.ifft2(kinetic * np.fft.fft2(half_v * psi))
-        if step % every == 0:
-            expected.append(psi)
+    expected = _explicit_2d_strang(state, dt, steps, every)
     bound = 2.0 * math.sqrt(dropped) * np.linalg.norm(state.amps) + 1e-12
     assert len(snaps) == len(expected) == 3
     for s, e in zip(snaps, expected):
@@ -462,6 +461,61 @@ def test_two_particle_zero_state_steps_an_empty_stack():
     assert len(snaps) == 3
     for s in snaps:
         assert s.amps.shape == (g.n, g.n) and not np.any(s.amps)
+
+
+def test_two_particle_with_every_sector_occupied_steps_the_whole_stack():
+    # a random state occupies all 64 sectors: no row is dropped, so the hook
+    # gets the whole stack with sectors=None at every snapshot
+    g = make_grid(64, -16.0, 32.0)
+    rng = np.random.default_rng(7)
+    amps = rng.standard_normal((g.n, g.n)) + 1j * rng.standard_normal((g.n, g.n))
+    state = TwoParticleState(g, amps).normalized()
+    assert np.all(_sector_shares(state.amps) > SECTOR_WEIGHT_FLOOR)
+    dt, steps, every = 0.005, 40, 20
+    v = _asymmetric_v(g.x)
+    seen = []
+
+    def hook(rows, sectors=None):
+        seen.append((rows.shape, sectors))
+
+    _strang(state, _two_particle_potential(g, PotentialSpec.sampled(v)),
+            PropagatorConfig(dt=dt, steps=steps), every, hook)
+    assert seen == [((g.n, g.n), None)] * 3
+    snaps = propagate_two(state, PotentialSpec.sampled(v),
+                          PropagatorConfig(dt=dt, steps=steps), snapshot_every=every)
+    expected = _explicit_2d_strang(state, dt, steps, every)
+    assert len(snaps) == len(expected) == 3
+    for s, e in zip(snaps, expected):
+        assert np.max(np.abs(s.amps - e)) < 1e-12
+
+
+def test_one_particle_steps_as_a_one_row_stack():
+    g = make_grid(256, -16.0, 32.0)
+    psi = make_packet(g, PacketSpec("gaussian", -1.0, 1.0, 1.5))
+    seen = []
+
+    def hook(rows, sectors=None):
+        seen.append((rows.shape, sectors))
+        return rows[0].copy()
+
+    cfg = PropagatorConfig(dt=0.01, steps=12)
+    rows = _strang(psi, _asymmetric_v(g.x), cfg, 4, hook)
+    snaps = propagate(psi, PotentialSpec.sampled(_asymmetric_v(g.x)), cfg, snapshot_every=4)
+    assert seen == [((1, g.n), None)] * 4
+    for row, s in zip(rows, snaps):
+        assert np.array_equal(row, s.amps)
+
+
+def test_one_particle_zero_state_steps_an_empty_stack():
+    g = make_grid(64, -16.0, 32.0)
+    zero = WaveFunction(g, np.zeros(g.n, dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        snaps = propagate(zero, PotentialSpec.zero(), PropagatorConfig(dt=0.005, steps=4),
+                          snapshot_every=2)
+    assert len(snaps) == 3
+    for s in snaps:
+        assert s.amps.shape == (g.n,) and not np.any(s.amps)
 
 
 def test_far_field_is_momentum_distribution():

@@ -28,11 +28,13 @@ from modlab import experiments, records
 from modlab.errors import (
     ArgumentError,
     DisjointnessViolated,
+    NonFiniteAmplitude,
     PeriodUnderResolved,
     PhaseWrapWarning,
     RegimeViolation,
     SchemaViolation,
     UnknownExperiment,
+    ZeroState,
 )
 from modlab.experiments import _lattice_cdf, _sample_lattice_p, validate_params
 from modlab.grid import to_momentum
@@ -106,6 +108,20 @@ def test_sample_detections_rejects_no_trials():
     _, dens = point_mass_density()
     with pytest.raises(ArgumentError):
         sample_detections(dens, 0, seed=1)
+
+
+@pytest.mark.parametrize("bad, error", [(0.0, ZeroState), (np.nan, NonFiniteAmplitude),
+                                        (np.inf, NonFiniteAmplitude)])
+def test_sample_detections_rejects_a_zero_or_non_finite_density(bad, error):
+    # a zero total would divide by zero and a NaN or inf one would poison the
+    # cdf; either way every draw would land on one fixed lattice momentum
+    g = make_grid(8, -1.0, 2.0)
+    amps = np.zeros(g.n, dtype=complex)
+    amps[3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            sample_detections(MomentumAmplitudes(g, amps), 6, seed=1)
 
 
 def _density(n, amps):

@@ -24,9 +24,11 @@ from modlab import (
     tv_from_uniform,
     weyl_moment,
 )
+from modlab import observables
 from modlab.errors import (
     DegreeCap,
     GridMismatch,
+    InternalInconsistency,
     NonUniformSampling,
     NoPeaks,
     OffLatticeL,
@@ -89,6 +91,16 @@ def test_translation_expect_off_lattice_shift():
     psi = make_two_slit(g, 8.0, PacketSpec("gaussian", -4.0, 1.0), 0.5)
     val = translation_expect(psi, 8.0 + 0.3 * g.dx)
     assert abs(val) <= 1.0 + 1e-12
+
+
+def test_translation_expect_refuses_routes_that_disagree(monkeypatch):
+    # an overlap route that shifts one lattice step too far must not pass
+    # the cross-check against the spectral route
+    g = make_grid(2048, -64.0, 128.0)
+    psi = make_packet(g, PacketSpec("gaussian", 0.0, 2.0, p0=1.0))
+    monkeypatch.setattr(observables, "translate", lambda psi, a: translate(psi, a + g.dx))
+    with pytest.raises(InternalInconsistency):
+        translation_expect(psi, 1.0)
 
 
 # --- modular_distribution ----------------------------------------------------
