@@ -4,16 +4,18 @@ via the partial-wave series in fractional-order Bessel functions:
     psi(r, theta) = sum_n (-i)^|n - alpha| J_|n-alpha|(k r) exp(i n theta),
 
 with (-i)^s = exp(-i pi s / 2) for real s and alpha the enclosed flux in flux
-quanta. Acceptance rests on internally verifiable symmetries: integer flux is
-pure gauge, |psi| is periodic in alpha with period 1, and reflection maps
-alpha -> -alpha, theta -> -theta.
+quanta. Integer flux is pure gauge, psi_(alpha+m) = exp(i m theta) psi_alpha,
+so the series is summed once at the reduced flux alpha mod 1 and its
+harmonics are shifted by m: |psi| has period 1 in alpha by construction, up
+to the rounding of the phases. The independent checks are the reflection
+alpha -> -alpha, theta -> -theta, the closed form at alpha = 1/2 and an mpmath
+sum at general alpha (the tests).
 
 The Bessel evaluator is self-contained: one downward recurrence with
 fractional-order normalization (Miller's method) yields a whole order family
 frac + j at once, so `bessel_j` and the partial-wave coefficients share it;
-below z = 1e-8 the leading series term stands in. The supporting Gamma
-function is a Lanczos approximation evaluated in log space so it stays usable
-where Gamma itself overflows.
+below z = 1e-8 the leading series term stands in. Gamma comes from the
+standard library.
 """
 
 from __future__ import annotations
@@ -30,49 +32,22 @@ from .errors import ArgumentError, OutOfEnvelope, TruncationTooSmall
 NU_MAX = 200.0
 Z_MAX = 500.0
 
-# Lanczos g=7, 9-term coefficients (Godfrey); relative error ~1e-14
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _lanczos_sum(s: float) -> tuple[float, float]:
-    a = _LANCZOS[0]
-    for i in range(1, 9):
-        a += _LANCZOS[i] / (s + i)
-    return a, s + _LANCZOS_G + 0.5
-
 
 def gamma(s: float) -> float:
-    """Gamma(s) off the poles (reflection below 1/2); inf past the float64 range."""
-    if s <= 0.0 and s % 1.0 == 0.0:
-        raise OutOfEnvelope(f"Gamma has a pole at s={s}")
-    if s < 0.5:
-        return math.pi / (math.sin(math.pi * s) * gamma(1.0 - s))
-    a, t = _lanczos_sum(s - 1.0)
-    if (s - 0.5) * math.log(t) - t > 709.0:
-        return math.inf
-    half = t ** (0.5 * (s - 0.5))  # split power keeps intermediates in range
-    return math.sqrt(2.0 * math.pi) * half * math.exp(-t) * half * a
+    """Gamma(s) off the poles; +-inf past the float64 range."""
+    try:
+        return math.gamma(s)
+    except ValueError:  # the stdlib's poles: s = 0, -1, -2, ... and -inf
+        raise OutOfEnvelope(f"Gamma has a pole at s={s}") from None
+    except OverflowError:
+        return math.copysign(math.inf, s)
 
 
 def log_gamma(s: float) -> float:
-    """log Gamma(s) for s > 0, accurate over (0, 250] and beyond."""
+    """log Gamma(s) for s > 0."""
     if not s > 0.0:
         raise OutOfEnvelope(f"log_gamma needs s > 0, got s={s}")
-    if s < 0.5:
-        return math.log(math.pi / math.sin(math.pi * s)) - log_gamma(1.0 - s)
-    a, t = _lanczos_sum(s - 1.0)
-    return 0.5 * math.log(2.0 * math.pi) + (s - 0.5) * math.log(t) - t + math.log(a)
+    return math.lgamma(s)
 
 
 def _miller(frac: float, z: float, top: int) -> np.ndarray:
@@ -129,7 +104,10 @@ class FluxParam:
 
     @cached_property
     def reduced(self) -> float:
-        return self.alpha % 1.0
+        """alpha mod 1 in [0, 1); a tiny negative alpha, whose float mod
+        rounds up to 1.0, reduces to 0.0."""
+        b = self.alpha % 1.0
+        return 0.0 if b == 1.0 else b
 
 
 def _checked_kr(k: float, r: float) -> float:
@@ -159,30 +137,35 @@ class PartialWave(NamedTuple):
 
 
 def _wave_coefficients(flux: FluxParam, cfg: ScatterConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    """Angular-harmonic coefficients (-i)^|n-alpha| J_|n-alpha|(k r) and the
-    truncation tail estimate from the last 4 orders at each end. The orders
-    form two families, ceil(alpha) - alpha + (n - ceil(alpha)) for n >= ceil(alpha)
-    and alpha - floor(alpha) + (floor(alpha) - n) below; one `_miller` call each."""
+    """Angular harmonics n, their coefficients (-i)^|n-alpha| J_|n-alpha|(k r),
+    and the truncation tail estimate from the last 4 orders at each end. The
+    series runs at the reduced flux b over n - m = -n_max..n_max, m = floor(alpha);
+    its orders form two families, b + j below n = m + ceil(b) and ceil(b) - b + j
+    from there, one `_miller` call each."""
+    b = flux.reduced
     z = cfg.k * cfg.r
-    max_order = cfg.n_max + abs(flux.alpha)
+    max_order = cfg.n_max + b
     if not (max_order <= NU_MAX) or not (z <= Z_MAX):
         raise OutOfEnvelope(
             f"partial-wave orders up to {max_order:.1f} at k*r={z:.1f} "
             f"leave the Bessel envelope"
         )
-    lo, hi = math.floor(flux.alpha), math.ceil(flux.alpha)
+    m = round(flux.alpha - b)
+    if abs(m) > 2**16:  # the phases (n + m) theta round to ~1e-16 |m| each
+        raise OutOfEnvelope(f"alpha={flux.alpha}: |floor(alpha)| exceeds 2**16 flux quanta")
+    hi = math.ceil(b)
     ns = np.arange(-cfg.n_max, cfg.n_max + 1)
     upper = ns >= hi
     radial = np.empty(ns.size)
-    radial[upper] = _miller(hi - flux.alpha, z, max(cfg.n_max - hi, 0))[ns[upper] - hi]
-    radial[~upper] = _miller(flux.alpha - lo, z, max(cfg.n_max + lo, 0))[lo - ns[~upper]]
-    coefs = np.exp(-0.5j * math.pi * np.abs(ns - flux.alpha)) * radial
+    radial[upper] = _miller(hi - b, z, cfg.n_max - hi)[ns[upper] - hi]
+    radial[~upper] = _miller(b, z, cfg.n_max)[-ns[~upper]]
+    coefs = np.exp(-0.5j * math.pi * np.abs(ns - b)) * radial
     tail = float(np.sum(np.abs(radial[:4])) + np.sum(np.abs(radial[-4:])))
     if tail > 1e-8:
         raise TruncationTooSmall(
             f"tail estimate {tail:.3g} exceeds 1e-8; increase n_max"
         )
-    return ns, coefs, tail
+    return ns + m, coefs, tail
 
 
 def _psi(flux: FluxParam, cfg: ScatterConfig, thetas) -> tuple[np.ndarray, float]:

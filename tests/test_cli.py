@@ -95,6 +95,16 @@ def test_guard_failure_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_scattering_flux_far_past_its_reduced_value_exit_code(tmp_path, capsys):
+    # |floor(alpha)| > 2**16 is out of the envelope: exit 3, not a traceback
+    cfg = write_config(tmp_path, "alpha = 1e300\n")
+    code = main(["scattering", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_GUARD
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not list(tmp_path.glob("scattering-*"))
+
+
 def test_off_lattice_two_particle_spacing_exit_code(tmp_path, capsys):
     # dx = 32/256 = 0.125; the sector identity behind <T12> needs L = m*dx
     cfg = write_config(tmp_path, "spacing = 2.01\nsteps = 20\n")

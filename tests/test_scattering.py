@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import mpmath
@@ -49,10 +50,11 @@ def test_gamma_small_integers():
 
 def test_gamma_overflows_to_inf():
     assert gamma(250.0) == math.inf
+    assert gamma(math.inf) == math.inf
 
 
 def test_gamma_raises_at_poles():
-    for s in (0.0, -1.0, -2.0, -7.0):
+    for s in (0.0, -1.0, -2.0, -7.0, -math.inf):
         with pytest.raises(OutOfEnvelope):
             gamma(s)
     assert gamma(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-13)
@@ -209,17 +211,80 @@ def test_half_flux_series_meets_closed_form(kr):
     assert np.max(np.abs(values - closed)) <= tail + 1e-12
 
 
+@functools.lru_cache(maxsize=None)
+def _mp_coefficient(order, kr):
+    """(-i)^order J_order(kr) at 30 digits, from the defining series
+    J_nu(z) = (z/2)^nu / Gamma(nu + 1) 0F1(; nu + 1; -z^2/4). `mpmath.besselj`
+    sums the same series (they agree to 1e-31 here), but only after trying an
+    asymptotic expansion that costs about as much again at kr = 100."""
+    with mpmath.workdps(30):
+        z = mpmath.mpf(kr)
+        bessel = ((z / 2) ** order / mpmath.gamma(order + 1)
+                  * mpmath.hyp0f1(order + 1, -z * z / 4, force_series=True))
+        return complex(mpmath.expj(-0.5 * mpmath.pi * order) * bessel)
+
+
+def _mpmath_psi(alpha, kr, thetas):
+    """The partial-wave sum straight from its definition over the window
+    floor(alpha) +- (ceil(kr) + 50), 10 orders past the default n_max. Each
+    distinct order is evaluated once for all angles and all tests: the orders
+    are exact at 30 digits, so alpha = 0.37 and -0.63 share theirs."""
+    ns = np.arange(-math.ceil(kr) - 50, math.ceil(kr) + 51) + math.floor(alpha)
+    with mpmath.workdps(30):
+        orders = [abs(mpmath.mpf(int(n)) - mpmath.mpf(alpha)) for n in ns]
+    coefs = np.array([_mp_coefficient(order, kr) for order in orders])
+    return np.exp(1j * np.multiply.outer(thetas, ns)) @ coefs
+
+
+@pytest.mark.parametrize("kr", [10.0, 100.0, 150.0])
+@pytest.mark.parametrize("alpha", [0.37, 2.91, -0.63])
+def test_series_meets_mpmath_at_general_flux(alpha, kr):
+    # with the experiment's default n_max the error stays under the tail
+    # estimate plus roundoff, whatever the integer part of alpha
+    thetas = -math.pi + 2.0 * math.pi * np.arange(16) / 16
+    cfg = ScatterConfig(k=1.0, r=kr, thetas=tuple(thetas), n_max=math.ceil(kr) + 40)
+    values, tail = _psi(FluxParam(alpha), cfg, thetas)
+    assert np.max(np.abs(values - _mpmath_psi(alpha, kr, thetas))) <= tail + 1e-12
+
+
+def test_flux_period_one_holds_to_roundoff():
+    thetas = -math.pi + 2.0 * math.pi * np.arange(64) / 64
+    cfg = ScatterConfig(k=1.0, r=100.0, thetas=tuple(thetas), n_max=140)
+    base = np.abs(_psi(FluxParam(0.37), cfg, thetas)[0]) ** 2
+    for m in (-3, 1, 3):
+        shifted = np.abs(_psi(FluxParam(0.37 + m), cfg, thetas)[0]) ** 2
+        assert np.max(np.abs(shifted - base)) <= 1e-13
+
+
 def test_wave_coefficients_envelope_rejects_non_finite_flux():
     for alpha in (math.nan, math.inf, -math.inf):
         with pytest.raises(OutOfEnvelope):
             _wave_coefficients(FluxParam(alpha), config())
 
 
-def test_flux_beyond_n_max_hits_truncation_guard():
-    # one order family is empty when |alpha| > n_max; the guard still decides
-    for alpha in (60.0, -60.5):
-        with pytest.raises(TruncationTooSmall):
-            partial_wave_psi(FluxParam(alpha), config(n_max=50), 0.0)
+def test_flux_beyond_n_max_sums_at_the_reduced_flux():
+    # the series runs at alpha mod 1 whatever alpha is, so a flux past n_max
+    # keeps both order families
+    cfg = config(n_max=50)
+    for theta in np.linspace(-math.pi, math.pi, 7):
+        theta = float(theta)
+        gauge = partial_wave_psi(FluxParam(60.0), cfg, theta).value
+        assert abs(abs(gauge) - 1.0) < 1e-8
+        half = partial_wave_psi(FluxParam(0.5), cfg, theta).value
+        shifted = partial_wave_psi(FluxParam(-60.5), cfg, theta).value
+        assert abs(abs(shifted) - abs(half)) < 1e-12
+
+
+def test_flux_past_the_gauge_phase_range_is_out_of_envelope():
+    # harmonics shifted by floor(alpha) keep their phases to ~1e-16 |alpha|
+    # only up to 2**16 flux quanta
+    flux, thetas = FluxParam(2.0**16 + 0.37), (0.3, -2.0)
+    far, _ = _psi(flux, config(), thetas)
+    near, _ = _psi(FluxParam(flux.reduced), config(), thetas)
+    assert np.max(np.abs(np.abs(far) - np.abs(near))) < 1e-10
+    for alpha in (2.0**16 + 1.0, -2.0**16 - 0.5, 1e19, -1e300):
+        with pytest.raises(OutOfEnvelope):
+            _wave_coefficients(FluxParam(alpha), config())
 
 
 def test_truncation_convergence():
@@ -269,3 +334,4 @@ def test_reduced_flux():
     assert FluxParam(3.4).reduced == pytest.approx(0.4)
     assert FluxParam(-0.25).reduced == pytest.approx(0.75)
     assert 0.0 <= FluxParam(-7.0).reduced < 1.0
+    assert FluxParam(-1e-20).reduced == 0.0
