@@ -336,15 +336,11 @@ def _sector_translations(
 def translation_expect_two(
     state: TwoParticleState, L: float, k1: int = 1, k2: int = 1
 ) -> complex:
-    """<exp(i (k1 p1 + k2 p2) L / hbar)> from the joint momentum density.
-
-    The real density meets the p2 phases in two real matrix-vector products:
-    a mixed complex @ real product would first copy the whole density to
-    complex.
-    """
+    """<exp(i (k1 p1 + k2 p2) L / hbar)> from the joint momentum density,
+    the 2-D transform taken over axis 0, then axis -1."""
     grid = state.grid
-    weights = np.abs(_fft.fft(state.amps)) ** 2
+    weights = np.abs(_fft.fft(_fft.fft(state.amps, axis=0))) ** 2
     density = weights / np.sum(weights)
     ph1 = np.exp(1j * grid.p_raw * k1 * L / grid.hbar)
     ph2 = np.exp(1j * grid.p_raw * k2 * L / grid.hbar)
-    return complex(ph1 @ (density @ ph2.real + 1j * (density @ ph2.imag)))
+    return complex(ph1 @ density @ ph2)

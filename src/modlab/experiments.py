@@ -406,7 +406,7 @@ def _peak_columns(psi, grid: Grid, spacing: float, extra_summary: dict) -> tuple
     **_GRID_PARAMS,
     "spacing": Param("float", 8.0, "branch separation L"),
     "width": Param("float", 1.5, "packet width (sigma or half-support)"),
-    "kind": Param("str", "bump", "packet kind: bump or gaussian"),
+    "kind": Param("str", "bump", "packet kind", choices=("bump", "gaussian")),
     "p0": Param("float", 0.0, "mean momentum"),
     "alpha": Param("float", _REQUIRED, "relative branch phase (radians)"),
 })
@@ -422,10 +422,10 @@ def _run_two_slit(params: dict, seed: int) -> tuple[dict, dict]:
 
 @_experiment("grating", {
     **_GRID_PARAMS,
-    "m_slits": Param("int", 8, "number of slits"),
+    "m_slits": Param("int", 8, "number of slits", lo=2),
     "spacing": Param("float", 8.0, "slit spacing L"),
     "width": Param("float", 1.5, "packet width"),
-    "kind": Param("str", "bump", "packet kind"),
+    "kind": Param("str", "bump", "packet kind", choices=("bump", "gaussian")),
     "p0": Param("float", 0.0, "mean momentum"),
     "phase_pattern": Param("str", _REQUIRED, "per-slit phases",
                            choices=("zero", "alternating")),
@@ -529,21 +529,14 @@ def _run_two_particle(params: dict, seed: int) -> tuple[dict, dict]:
     cfg = PropagatorConfig(dt=params["dt"], steps=params["steps"], mass=params["mass"])
     pairs = _strang(state, _two_particle_potential(grid, well), cfg, params["snapshot_every"],
                     functools.partial(_sector_translations, grid=grid, L=L))
-    t12_0, t1_0 = pairs[0]
-    rows = {k: [] for k in ("step", "time", "re_t12", "im_t12", "t12_drift",
-                            "re_t1", "im_t1", "t1_change")}
-    for i, (t12, t1) in enumerate(pairs):
-        step = i * params["snapshot_every"]
-        rows["step"].append(step)
-        rows["time"].append(step * params["dt"])
-        rows["re_t12"].append(t12.real)
-        rows["im_t12"].append(t12.imag)
-        rows["t12_drift"].append(abs(t12 - t12_0))
-        rows["re_t1"].append(t1.real)
-        rows["im_t1"].append(t1.imag)
-        rows["t1_change"].append(abs(t1 - t1_0))
-    return rows, {"max_t12_drift": max(rows["t12_drift"]),
-                  "max_t1_change": max(rows["t1_change"])}
+    t12, t1 = np.array(pairs).T
+    d12, d1 = t12 - t12[0], t1 - t1[0]
+    # np.hypot rounds as abs(complex) does; np.abs can differ in the last bit
+    drift, change = np.hypot(d12.real, d12.imag), np.hypot(d1.real, d1.imag)
+    step = np.arange(len(pairs)) * params["snapshot_every"]
+    return ({"step": step, "time": step * params["dt"], "re_t12": t12.real, "im_t12": t12.imag,
+             "t12_drift": drift, "re_t1": t1.real, "im_t1": t1.imag, "t1_change": change},
+            {"max_t12_drift": drift.max(), "max_t1_change": change.max()})
 
 
 @_experiment("scattering", {
@@ -569,12 +562,12 @@ def _run_scattering(params: dict, seed: int) -> tuple[dict, dict]:
 
 @_experiment("random-walk", {
     "n": Param("int", 2048), "length": Param("float", 64.0), "hbar": Param("float", 1.0),
-    "m_slits": Param("int", 8, "even count closes the alternating ring exactly"),
+    "m_slits": Param("int", 8, "even count closes the alternating ring exactly", lo=2),
     "spacing": Param("float", 8.0),
     "width": Param("float", 2.0, "packet width (wide packet, narrow envelope)"),
-    "kind": Param("str", "gaussian"),
+    "kind": Param("str", "gaussian", choices=("bump", "gaussian")),
     "n_electrons": Param("int", _REQUIRED, lo=1),
-    "n_repeats": Param("int", _REQUIRED),
+    "n_repeats": Param("int", _REQUIRED, lo=100),
     "strict": Param("int", 0, "1: refuse runs outside the two-point regime", choices=("0", "1")),
 })
 def _run_random_walk(params: dict, seed: int) -> tuple[dict, dict]:

@@ -34,7 +34,9 @@ Z_MAX = 500.0
 
 
 def gamma(s: float) -> float:
-    """Gamma(s) off the poles; +-inf past the float64 range."""
+    """Gamma(s) off the poles and NaN; +-inf past the float64 range."""
+    if math.isnan(s):
+        raise OutOfEnvelope("Gamma is undefined at s=nan")
     try:
         return math.gamma(s)
     except ValueError:  # the stdlib's poles: s = 0, -1, -2, ... and -inf
@@ -90,8 +92,6 @@ def bessel_j(nu: float, z: float) -> float:
             f"supported envelope is 0 <= nu <= {NU_MAX}, 0 <= z <= {Z_MAX}; "
             f"got nu={nu}, z={z}"
         )
-    if z == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
     top = math.floor(nu)
     return float(_miller(nu - top, z, top)[top])
 
@@ -170,8 +170,10 @@ def _wave_coefficients(flux: FluxParam, cfg: ScatterConfig) -> tuple[np.ndarray,
 
 def _psi(flux: FluxParam, cfg: ScatterConfig, thetas) -> tuple[np.ndarray, float]:
     """psi(r, theta) at each of thetas, and the series tail bound."""
-    ns, coefs, tail = _wave_coefficients(flux, cfg)
     thetas = np.asarray(thetas, dtype=float)
+    if not np.all(np.isfinite(thetas)):
+        raise ArgumentError("every theta must be finite")
+    ns, coefs, tail = _wave_coefficients(flux, cfg)
     blocks = np.array_split(thetas, thetas.size // 1024 + 1)  # memory O(1024 * n_max)
     values = [np.sum(coefs * np.exp(1j * np.multiply.outer(b, ns)), axis=-1) for b in blocks]
     return np.concatenate(values), tail

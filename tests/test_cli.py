@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modlab.cli import EXIT_GUARD, EXIT_OK, EXIT_SCHEMA, main, read_config
+from modlab.cli import EXIT_GUARD, EXIT_OK, EXIT_SCHEMA, main, print_schemas, read_config
 from modlab.errors import SchemaViolation
 from modlab.experiments import _REQUIRED, SCHEMAS
 from modlab.states import _PACKET_KINDS
@@ -46,6 +46,30 @@ def test_list_prints_choices(capsys):
 def test_list_prints_int_choices(capsys):
     assert main(["list"]) == EXIT_OK
     assert "strict: int, default 0, one of 0|1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, key, base", [
+    ("random-walk", "n_repeats", "n_electrons = 25\n"),
+    ("random-walk", "m_slits", "n_electrons = 25\nn_repeats = 100\n"),
+    ("grating", "m_slits", "phase_pattern = zero\n"),
+    ("random-walk", "kind", "n_electrons = 25\nn_repeats = 100\n"),
+    ("grating", "kind", "phase_pattern = zero\n"),
+    ("two-slit", "kind", "alpha = 0\n"),
+])
+def test_list_prints_the_bound_the_library_enforces(name, key, base, tmp_path, capsys):
+    # the value just past the bound `modlab list` prints exits 2
+    listing = io.StringIO()
+    print_schemas(listing)
+    block = listing.getvalue().split(f"\n{name}\n")[1].split("\n")
+    line = next(ln for ln in block if ln.startswith(f"  {key}: "))
+    if ", min " in line:
+        value = int(line.split(", min ")[1].split()[0]) - 1
+    else:
+        value = "square"
+        assert ", one of bump|gaussian" in line
+    cfg = write_config(tmp_path, f"{base}{key} = {value}\n")
+    assert main([name, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_SCHEMA
+    assert key in capsys.readouterr().err
 
 
 def test_read_config_parsing(tmp_path):

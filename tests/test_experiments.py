@@ -611,3 +611,52 @@ def test_columns_must_be_rectangular():
             columns={"x": np.array([1.0]), "y": np.array([1.0, 2.0])},
             provenance="p",
         )
+
+
+# hbar -> 2 hbar with momenta x 2, energies x 4 and times x 1/2 changes no phase
+# p x / hbar or E t / hbar, and every factor is a power of two. Per experiment:
+# a small config, the factor of each parameter that scales, the factor of each
+# column or summary value that scales, and the values that move by roundoff
+# (measured); every other value must come out bit for bit.
+_HBAR_DOUBLING = {
+    "two-slit": ({"alpha": "3.141592653589793", "p0": "0.5"}, {"hbar": 2, "p0": 2},
+                 {"p_peak": 2, "height": 0.5, "expected_spacing": 2}, {"p_peak", "height"}),
+    "grating": ({"phase_pattern": "alternating", "p0": "0.5"}, {"hbar": 2, "p0": 2},
+                {"p_peak": 2, "height": 0.5, "expected_spacing": 2, "expected_offset": 2},
+                {"height"}),
+    "eom-check": ({"n": "256", "length": "32", "steps": "40", "levels": "2"},
+                  {"hbar": 2, "dt": 0.5, "barrier_height": 4},
+                  {"dt": 0.5, "max_residual": 2}, set()),
+    "uncertainty": ({"widths": "0.4,0.6,0.8"}, {"hbar": 2}, {}, {"tv_uniform"}),
+    "classical-limit": ({"p0": "0.5"}, {"hbar_values": 2, "p0": 2}, {"hbar": 2, "cell": 2},
+                        {"tv_uniform", "tv_final"}),
+    "two-particle": ({"steps": "100"},
+                     {"hbar": 2, "p_approach": 2, "dt": 0.5, "well_depth": 4},
+                     {"time": 0.5}, set()),
+    "random-walk": ({"n_electrons": "25", "n_repeats": "400"}, {"hbar": 2},
+                    {"final_recoil": 2, "recoil_mod": 2, "rms_final_recoil": 2,
+                     "predicted_rms": 2, "exchange_quantum": 2}, set()),
+    "taylor-demo": ({"mode": "two-bump"}, {"hbar": 2}, {},
+                    {"partial_re", "partial_im", "abs_err", "final_abs_err", "min_abs_err"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HBAR_DOUBLING))
+def test_doubling_hbar_scales_every_value(name, tmp_path):
+    raw, param_factors, value_factors, rounded = _HBAR_DOUBLING[name]
+    params = validate_params(name, raw)
+    doubled = dict(params)
+    for key, factor in param_factors.items():
+        value = params[key]
+        doubled[key] = [x * factor for x in value] if isinstance(value, list) else value * factor
+    base = run(ExperimentConfig(name, params, 7, str(tmp_path / "base")))
+    scaled = run(ExperimentConfig(name, doubled, 7, str(tmp_path / "scaled")))
+    got = {**scaled.columns, **scaled.summary}
+    for key, value in {**base.columns, **base.summary}.items():
+        want = np.asarray(value) * value_factors.get(key, 1)
+        if key in rounded:
+            # a total-variation distance lies in [0, 1]; here it is itself roundoff
+            scale = 1.0 if key.startswith("tv_") else np.max(np.abs(want))
+            assert np.max(np.abs(got[key] - want)) <= 1e-12 * scale, key
+        else:
+            assert np.array_equal(got[key], want), key

@@ -135,8 +135,8 @@ def test_fft_of_a_row_matches_the_nd_entry(n):
     assert np.array_equal(_fft.ifft(a), scipy.fft.ifftn(a))
     assert np.array_equal(_fft.fft(a.copy(), overwrite=True), scipy.fft.fftn(a))
     assert np.array_equal(_fft.ifft(a.copy(), overwrite=True), scipy.fft.ifftn(a))
-    b = a.reshape(8, -1)  # a stack still gets the 2-D transform
-    assert np.array_equal(_fft.fft(b), scipy.fft.fftn(b))
+    b = a.reshape(8, -1)  # axis 0, then axis -1: the 2-D transform of translation_expect_two
+    assert np.array_equal(_fft.fft(_fft.fft(b, axis=0)), scipy.fft.fftn(b))
 
 
 def test_momentum_round_trip():

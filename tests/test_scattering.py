@@ -16,7 +16,7 @@ from modlab import (
     partial_wave_psi,
     scattering_profile,
 )
-from modlab.errors import OutOfEnvelope, TruncationTooSmall
+from modlab.errors import ArgumentError, OutOfEnvelope, TruncationTooSmall
 from modlab.scattering import _psi, _wave_coefficients
 
 # oracle values frozen from an extended-precision evaluation (40 digits)
@@ -54,7 +54,7 @@ def test_gamma_overflows_to_inf():
 
 
 def test_gamma_raises_at_poles():
-    for s in (0.0, -1.0, -2.0, -7.0, -math.inf):
+    for s in (0.0, -1.0, -2.0, -7.0, -math.inf, math.nan):
         with pytest.raises(OutOfEnvelope):
             gamma(s)
     assert gamma(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-13)
@@ -260,6 +260,14 @@ def test_wave_coefficients_envelope_rejects_non_finite_flux():
     for alpha in (math.nan, math.inf, -math.inf):
         with pytest.raises(OutOfEnvelope):
             _wave_coefficients(FluxParam(alpha), config())
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_angle_is_an_argument_error(theta):
+    with pytest.raises(ArgumentError):
+        partial_wave_psi(FluxParam(0.5), config(), theta)
+    with pytest.raises(ArgumentError):
+        scattering_profile(FluxParam(0.5), config(thetas=(0.0, theta)))
 
 
 def test_flux_beyond_n_max_sums_at_the_reduced_flux():
