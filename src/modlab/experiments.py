@@ -523,11 +523,12 @@ def _run_two_particle(params: dict, seed: int) -> tuple[dict, dict]:
     a = params["separation"] / 2.0
     psi1 = make_packet(grid, PacketSpec("gaussian", -a, params["sigma"], params["p_approach"]))
     psi2 = make_packet(grid, PacketSpec("gaussian", +a, params["sigma"], -params["p_approach"]))
-    state = product_state(psi1, psi2)
     well = PotentialSpec.sampled(-params["well_depth"]
                                  * np.exp(-grid.x**2 / (2.0 * params["well_width"] ** 2)))
+    v12 = _two_particle_potential(grid, well)  # the grid cap, before any n x n array
+    state = product_state(psi1, psi2)
     cfg = PropagatorConfig(dt=params["dt"], steps=params["steps"], mass=params["mass"])
-    pairs = _strang(state, _two_particle_potential(grid, well), cfg, params["snapshot_every"],
+    pairs = _strang(state, v12, cfg, params["snapshot_every"],
                     functools.partial(_sector_translations, grid=grid, L=L))
     t12, t1 = np.array(pairs).T
     d12, d1 = t12 - t12[0], t1 - t1[0]
@@ -625,13 +626,15 @@ def run(
     """Validate, dispatch, write the output file, and return the record, or
     with `with_path` the pair (record, path of the file written). Arithmetic
     that overflows, divides by zero or yields NaN, and a record holding a
-    non-finite value, raise ArgumentError."""
+    non-finite value, raise ArgumentError; so does a run that runs out of memory."""
     params = validate_params(config.name, config.params)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             columns, summary = _RUNNERS[config.name](params, config.seed)
     except ArithmeticError as e:  # FloatingPointError, OverflowError, ZeroDivisionError
         raise ArgumentError(f"{config.name}: {e}; a value is out of floating-point range") from e
+    except MemoryError as e:
+        raise ArgumentError(f"{config.name}: not enough memory; a size is out of range") from e
     record = _record(config.name, params, config.seed, columns, summary)
     for key, value in (*record.columns.items(), *record.summary.items()):
         if not np.all(np.isfinite(value)):

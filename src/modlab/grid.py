@@ -139,13 +139,19 @@ def lattice_steps(grid: Grid, a: float, name: str = "L") -> int:
     return int(round(m))
 
 
-def circulant(c: np.ndarray, shift: int = 0) -> np.ndarray:
-    """The n x n matrix M[a, b] = c[(a - b - shift) mod n] of a length-n vector, a fresh
-    C-contiguous copy whose row a is a window of reversed [d, d], d = roll(c, shift)."""
+def _circulant_view(c: np.ndarray, shift: int = 0) -> np.ndarray:
+    """A read-only strided view of M[a, b] = c[(a - b - shift) mod n], n = len(c): row a
+    is a contiguous window of [r, r], r = roll(c, shift) reversed. Only 2n values are
+    stored."""
     n = len(c)
-    d = np.roll(c, shift)
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((d, d))[::-1], n)
-    return windows[n - 1::-1].copy()
+    r = np.roll(c, shift)[::-1]
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate((r, r)), n)[n - 1::-1]
+
+
+def circulant(c: np.ndarray, shift: int = 0) -> np.ndarray:
+    """The n x n matrix M[a, b] = c[(a - b - shift) mod n] of a length-n vector, as a
+    fresh C-contiguous array."""
+    return _circulant_view(c, shift).copy()
 
 
 def to_momentum(psi: WaveFunction) -> MomentumAmplitudes:

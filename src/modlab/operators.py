@@ -22,17 +22,24 @@ import numpy as np
 from . import _fft
 from .errors import DimCap, NonDifferentiableV
 from .evolve import PotentialSpec
-from .grid import Grid, circulant, lattice_steps
+from .grid import Grid, _circulant_view, lattice_steps
 from .observables import MomentSpec
 
 MATRIX_DIM_CAP = 2048
-_BLOCK = 64  # rows per block of the Weyl build and the hermitian guard
+_BLOCK = 64  # rows per block of the Weyl build and the hermitian guard's scale pass
+_TILE = 128  # side of the hermitian guard's square tiles
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Dense operator in the position lattice basis. `entries` is a read-only view of
-    the input, not a copy: the caller must not change that array afterwards."""
+    the input, not a copy: the caller must not change that array afterwards.
+
+    The hermitian guard takes gap = max|e_ab - conj(e_ba)| over 128 x 128 tiles on and
+    above the diagonal, each tile's transposed partner read into a small buffer, and
+    passes when gap <= 1e-12 max(1, max|e|). That bound is never below 1e-12, so a gap
+    within 1e-12 passes at once; only a larger gap (or NaN) takes the max|e| pass, by
+    64-row blocks."""
 
     dim: int
     entries: np.ndarray
@@ -42,16 +49,16 @@ class OperatorMatrix:
         e = np.asarray(self.entries, dtype=np.complex128).view()
         if e.shape != (self.dim, self.dim):
             raise ValueError(f"expected {(self.dim,) * 2} entries, got {e.shape}")
-        if self.hermitian:  # max|e| and max|e - e^H| by row blocks; np.maximum keeps a NaN
-            scale, gap = 1.0, 0.0
+        if self.hermitian:  # np.maximum keeps a NaN
+            gap, scale, t = 0.0, 1.0, _TILE
             with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test below
-                for i in range(0, self.dim, _BLOCK):
-                    rows = e[i:i + _BLOCK]
-                    scale = np.maximum(scale, np.max(np.abs(rows)))
-                    # |e_ab - conj(e_ba)| is symmetric in (a, b): start at the diagonal
-                    d = e[i:, i:i + _BLOCK].conj().T
-                    d -= rows[:, i:]
-                    gap = np.maximum(gap, np.max(np.abs(d)))
+                for i in range(0, self.dim, t):  # |e_ab - conj(e_ba)| is symmetric in (a, b)
+                    for j in range(i, self.dim, t):
+                        d = np.subtract(e[i:i + t, j:j + t], e[j:j + t, i:i + t].conj().T)
+                        gap = np.maximum(gap, np.max(np.abs(d)))
+                if not gap <= 1e-12:
+                    for i in range(0, self.dim, _BLOCK):
+                        scale = np.maximum(scale, np.max(np.abs(e[i:i + _BLOCK])))
             if not gap <= 1e-12 * scale:
                 raise ValueError("entries are not hermitian within 1e-12")
         e.setflags(write=False)
@@ -63,10 +70,11 @@ def _check_dim(grid: Grid) -> None:
         raise DimCap(f"dense matrices capped at dim {MATRIX_DIM_CAP}, grid has {grid.n}")
 
 
-def _spectral_function(f: np.ndarray) -> np.ndarray:
-    """The operator f(p), f given on grid.p, in the position basis: the circulant
-    matrix of the inverse DFT of f, since p_j dx / hbar = 2 pi j / n."""
-    return circulant(_fft.ifft(np.fft.ifftshift(f)))
+def _spectral_view(f: np.ndarray) -> np.ndarray:
+    """The operator f(p), f given on grid.p, in the position basis, as a read-only
+    strided view: the circulant matrix of the inverse DFT of f, since
+    p_j dx / hbar = 2 pi j / n."""
+    return _circulant_view(_fft.ifft(np.fft.ifftshift(f)))
 
 
 def build_x(grid: Grid) -> OperatorMatrix:
@@ -76,14 +84,14 @@ def build_x(grid: Grid) -> OperatorMatrix:
 
 def build_p(grid: Grid) -> OperatorMatrix:
     _check_dim(grid)
-    return OperatorMatrix(grid.n, _spectral_function(grid.p), hermitian=True)
+    return OperatorMatrix(grid.n, _spectral_view(grid.p).copy(), hermitian=True)
 
 
 def build_translation(grid: Grid, L: float) -> OperatorMatrix:
     """exp(i p L / hbar): shifts states by L; an exact circular index-shift
     permutation when L is a lattice multiple."""
     _check_dim(grid)
-    return OperatorMatrix(grid.n, _spectral_function(np.exp(1j * grid.p * L / grid.hbar)))
+    return OperatorMatrix(grid.n, _spectral_view(np.exp(1j * grid.p * L / grid.hbar)).copy())
 
 
 def eom_identity_residual(
@@ -112,19 +120,22 @@ def eom_identity_residual(
 
 def weyl_matrix(grid: Grid, n_x: int, m_p: int) -> OperatorMatrix:
     """Symmetrized monomial W(x^n p^m) = 2^-n sum_k C(n,k) X^k P^m X^(n-k); X is
-    diagonal, so this is W[a, b] = ((x_a + x_b)/2)^n (P^m)[a, b] (McCoy's midpoint rule),
-    applied in place by row blocks: only the result is n x n."""
+    diagonal, so this is W[a, b] = ((x_a + x_b)/2)^n (P^m)[a, b] (McCoy's midpoint rule).
+    Each row block of the result is written once, from a strided view of P^m: only the
+    result is n x n."""
     MomentSpec(n_x, m_p)  # enforces the degree cap
     _check_dim(grid)
-    w = _spectral_function(grid.p**m_p)
-    if n_x:
-        for i in range(0, grid.n, _BLOCK):
-            mid = np.add.outer(grid.x[i:i + _BLOCK], grid.x)
-            mid *= 0.5
-            pw = mid if n_x == 1 else mid * mid  # repeated products: ** calls libm pow
-            for _ in range(n_x - 2):
-                pw *= mid
-            w[i:i + _BLOCK] *= pw
+    view = _spectral_view(grid.p**m_p)
+    if not n_x:
+        return OperatorMatrix(grid.n, view.copy(), hermitian=True)
+    w = np.empty(view.shape, view.dtype)
+    for i in range(0, grid.n, _BLOCK):
+        mid = np.add.outer(grid.x[i:i + _BLOCK], grid.x)
+        mid *= 0.5
+        pw = mid if n_x == 1 else mid * mid  # repeated products: ** calls libm pow
+        for _ in range(n_x - 2):
+            pw *= mid
+        np.multiply(view[i:i + _BLOCK], pw, out=w[i:i + _BLOCK])
     return OperatorMatrix(grid.n, w, hermitian=True)
 
 

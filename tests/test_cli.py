@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modlab import experiments
 from modlab.cli import EXIT_GUARD, EXIT_OK, EXIT_SCHEMA, main, print_schemas, read_config
 from modlab.errors import SchemaViolation
 from modlab.experiments import _REQUIRED, SCHEMAS
@@ -137,6 +138,34 @@ def test_off_lattice_two_particle_spacing_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "spacing" in err
     assert not list(tmp_path.glob("two-particle-*"))
+
+
+def test_two_particle_grid_cap_exits_before_the_product_state(tmp_path, capsys, monkeypatch):
+    # n = 1024 is past the cap of 512 per axis: refused before any n x n array exists
+    def product_state(*args):
+        raise AssertionError("product_state called past the grid cap")
+
+    monkeypatch.setattr(experiments, "product_state", product_state)
+    cfg = write_config(tmp_path, "n = 1024\nsteps = 20\n")
+    code = main(["two-particle", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_GUARD
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "512" in err
+    assert not list(tmp_path.glob("two-particle-*"))
+
+
+def test_memory_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a run that cannot allocate its arrays is refused like an out-of-range value
+    def runner(params, seed):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setitem(experiments._RUNNERS, "two-slit", runner)
+    cfg = write_config(tmp_path, "alpha = 0.5\n")
+    code = main(["two-slit", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: two-slit:") and err.count("\n") == 1 and "memory" in err
+    assert not list(tmp_path.glob("two-slit-*"))
 
 
 def test_bad_seed_exit_code(tmp_path):

@@ -263,8 +263,9 @@ def test_weyl_matrix_matches_binomial_definition():
 
 @pytest.mark.parametrize("row,col", [(3, 100), (290, 270), (290, 10), (299, 299)])
 def test_hermitian_guard_finds_one_entry_in_any_row_block(row, col):
-    # dim 300 spans four full 64-row blocks and a partial one; the entry sits in
-    # the first or the last, below or above the diagonal, or on it
+    # dim 300 spans two full 128-wide tiles and a partial one (four full 64-row
+    # blocks and a partial one); the entry sits in the first or the last, below
+    # or above the diagonal, or on it
     rng = np.random.default_rng(5)
     a = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
     h = a + a.conj().T
@@ -272,6 +273,40 @@ def test_hermitian_guard_finds_one_entry_in_any_row_block(row, col):
     h[row, col] += 1e-9j
     with pytest.raises(ValueError):
         OperatorMatrix(300, h, hermitian=True)
+
+
+def test_hermitian_guard_scales_its_bound_with_the_entries():
+    # entries ~1e6: a 1e-9 asymmetry is past 1e-12 but within 1e-12 max|e|, so it
+    # passes only through the max|e| pass; a 1e-5 asymmetry is past that bound too
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    h = 1e6 * (a + a.conj().T)
+    for shift, ok in ((1e-9, True), (1e-5, False)):
+        bad = h.copy()
+        bad[17, 230] += shift
+        if ok:
+            OperatorMatrix(300, bad, hermitian=True)
+        else:
+            with pytest.raises(ValueError):
+                OperatorMatrix(300, bad, hermitian=True)
+
+
+@pytest.mark.parametrize("n_x,m_p", [(1, 1), (3, 2), (0, 2)])
+def test_weyl_matrix_equals_the_copy_then_scale_expression(n_x, m_p):
+    # the row blocks written from a strided view give the entries of the plain
+    # expression bit for bit: gather P^m, then scale it by the midpoint power
+    g = make_grid(256, -30.5, 61.0)
+    c = np.fft.ifft(np.fft.ifftshift(g.p**m_p))
+    want = c[(np.arange(g.n)[:, None] - np.arange(g.n)) % g.n]
+    if n_x:
+        mid = np.add.outer(g.x, g.x)
+        mid *= 0.5
+        pw = mid
+        for _ in range(n_x - 1):
+            pw = pw * mid
+        want *= pw
+    got = weyl_matrix(g, n_x, m_p).entries
+    assert np.array_equal(got.view(float), want.view(float))
 
 
 @pytest.mark.parametrize("entries", [[[math.nan, 5.0], [0.0, 0.0]],
