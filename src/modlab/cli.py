@@ -36,6 +36,8 @@ def read_config(path: Path) -> dict[str, str]:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise IoFailure(f"cannot read config {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise SchemaViolation(f"{path}: config files are UTF-8 text: {e}") from e
     out: dict[str, str] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -204,9 +204,6 @@ def _strang(
                 PhaseWrapWarning,
                 stacklevel=3,
             )
-    half_v = np.exp(-0.5j * v * cfg.dt / g.hbar)
-    full_v = half_v * half_v
-
     stack = rows.shape
     if observe is None:
         def observe(rows, sectors=None):
@@ -228,6 +225,10 @@ def _strang(
     else:
         rows, p2 = rows[sectors], p2[sectors]
     kinetic = np.exp(-0.5j * p2 * cfg.dt / (cfg.mass * g.hbar))
+    # the kicks take the shape of the stepped stack, so no product broadcasts
+    # row by row
+    half_v = np.tile(np.exp(-0.5j * v * cfg.dt / g.hbar), (len(rows), 1))
+    full_v = half_v * half_v
     rows *= half_v
     for step in range(1, cfg.steps + 1):
         rows = _fft.fft(rows, axis=-1, overwrite=True)
@@ -244,7 +245,7 @@ def _strang(
 
 
 def _check_finite(amps: np.ndarray) -> None:
-    if not np.all(np.isfinite(amps.view(float))):
+    if not np.isfinite(amps.view(float)).all():
         raise NonFiniteAmplitude("non-finite amplitude encountered during propagation")
 
 

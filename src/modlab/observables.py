@@ -214,8 +214,11 @@ def eom_residual(
         shifted[:n - m] = a[m:]
         shifted[n - m:] = a[:m]
         np.multiply(dv, shifted, out=weighted)
-        t_vals[i] = complex(np.vdot(a, shifted) * dx)
-        rhs[i] = (1j / g.hbar) * complex(np.vdot(a, weighted) * dx)
+        t_vals[i] = np.vdot(a, shifted)
+        rhs[i] = np.vdot(a, weighted)
+    t_vals *= dx
+    rhs *= dx
+    rhs *= 1j / g.hbar
     deriv = (t_vals[2:] - t_vals[:-2]) / (2.0 * dt)
     return np.abs(deriv - rhs[1:-1])
 
@@ -229,14 +232,15 @@ def fringe_peaks(dens: MomentumAmplitudes) -> list[tuple[float, float]]:
     if top <= 0.0:
         raise NoPeaks("density is identically zero")
     threshold = 0.1 * top
+    mid = d[1:-1]
+    candidates = np.flatnonzero((mid >= threshold) & (mid > d[:-2]) & (mid >= d[2:])) + 1
     peaks: list[tuple[float, float]] = []
-    for j in range(1, g.n - 1):
-        if d[j] >= threshold and d[j] > d[j - 1] and d[j] >= d[j + 1]:
-            denom = d[j - 1] - 2.0 * d[j] + d[j + 1]
-            delta = 0.0 if denom == 0.0 else 0.5 * (d[j - 1] - d[j + 1]) / denom
-            loc = g.p[j] + delta * g.dp
-            height = d[j] - 0.25 * (d[j - 1] - d[j + 1]) * delta
-            peaks.append((float(loc), float(height)))
+    for j in candidates.tolist():
+        denom = d[j - 1] - 2.0 * d[j] + d[j + 1]
+        delta = 0.0 if denom == 0.0 else 0.5 * (d[j - 1] - d[j + 1]) / denom
+        loc = g.p[j] + delta * g.dp
+        height = d[j] - 0.25 * (d[j - 1] - d[j + 1]) * delta
+        peaks.append((float(loc), float(height)))
     if not peaks:
         raise NoPeaks("no local maxima above 10% of the global maximum")
     return peaks

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -46,16 +47,17 @@ def _format_param(v) -> str:
     return format_number(v)
 
 
-# format_number's output for the Python values tolist gives, by dtype kind
-_FORMAT_BY_KIND = {"b": lambda x: "1" if x else "0", "i": str, "f": lambda x: format(x, ".17g")}
-_CSV_ROWS = 2**14  # rows formatted at a time: bounds the per-column string lists
+# printf conversions giving format_number's output for the Python values
+# tolist returns, by dtype kind; "%.17g" is the conversion format(x, ".17g") makes
+_PRINTF_BY_KIND = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
+_CSV_ROWS = 2**14  # rows formatted at a time: bounds the per-block value lists
 
 
-def _format_column(v) -> list[str]:
-    """format_number of each entry; a 1-D int, float or bool array is converted
-    once, by tolist, rather than element by element."""
-    fmt = _FORMAT_BY_KIND.get(v.dtype.kind) if isinstance(v, np.ndarray) and v.ndim == 1 else None
-    return list(map(fmt, v.tolist())) if fmt else [format_number(x) for x in v]
+def _printf_column(v) -> tuple[str, list]:
+    """A printf conversion and the values it takes: a 1-D bool, int or float
+    array converted once, by tolist; any other column as format_number strings."""
+    conv = _PRINTF_BY_KIND.get(v.dtype.kind) if isinstance(v, np.ndarray) and v.ndim == 1 else None
+    return (conv, v.tolist()) if conv else ("%s", [format_number(x) for x in v])
 
 
 def _csv_text(record: ExperimentRecord) -> str:
@@ -67,7 +69,9 @@ def _csv_text(record: ExperimentRecord) -> str:
     lines.append(",".join(record.columns))
     columns = list(record.columns.values())
     for i in range(0, len(columns[0]) if columns else 0, _CSV_ROWS):
-        lines.extend(map(",".join, zip(*(_format_column(v[i:i + _CSV_ROWS]) for v in columns))))
+        convs, values = zip(*(_printf_column(v[i:i + _CSV_ROWS]) for v in columns))
+        block = "\n".join([",".join(convs)] * len(values[0]))
+        lines.append(block % tuple(chain.from_iterable(zip(*values))))
     return "\n".join(lines) + "\n"
 
 
@@ -75,8 +79,8 @@ def _json_value(v) -> str:
     # strings through the stdlib escaper; numbers through the 17-digit format
     if isinstance(v, str):
         return json.dumps(v)
-    if isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind in _FORMAT_BY_KIND:
-        return "[" + ", ".join(_format_column(v)) + "]"
+    if isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind in _PRINTF_BY_KIND:
+        return "[" + ", ".join([_PRINTF_BY_KIND[v.dtype.kind]] * len(v)) % tuple(v.tolist()) + "]"
     if isinstance(v, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_json_value(i) for i in v) + "]"
     if isinstance(v, dict):

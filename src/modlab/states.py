@@ -111,6 +111,8 @@ def _packet_amps(grid: Grid, spec: PacketSpec, center: float) -> np.ndarray:
         env = np.zeros(grid.n)
         core = np.abs(u) < 1.0
         env[core] = np.exp(-1.0 / (1.0 - u[core] ** 2))
+    if spec.p0 == 0.0:
+        return env.astype(complex)  # exactly env * exp(1j * 0 * x / hbar)
     return env * np.exp(1j * spec.p0 * x / grid.hbar)
 
 

@@ -191,6 +191,17 @@ def test_missing_config_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_non_utf8_config_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"alpha = \xff\n")
+    code = main(["two-slit", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UTF-8" in err
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.glob("two-slit-*"))
+
+
 @pytest.mark.parametrize("experiment,text", [
     ("two-slit", "alpha = nan\n"),
     ("two-slit", "alpha = inf\n"),

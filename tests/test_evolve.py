@@ -33,6 +33,7 @@ from modlab.errors import (
 from modlab import _fft
 from modlab.evolve import (
     SECTOR_WEIGHT_FLOOR,
+    _check_finite,
     _sector_translations,
     _strang,
     _two_particle_potential,
@@ -137,6 +138,33 @@ def test_non_finite_amplitude_detected():
     bad = WaveFunction(g, amps)
     with pytest.raises(NonFiniteAmplitude):
         propagate(bad, PotentialSpec.zero(), PropagatorConfig(dt=1e-3, steps=1))
+
+
+@pytest.mark.parametrize("shape", [(256,), (85, 256)])
+def test_check_finite_passes_finite_amplitudes_whose_sum_overflows(shape):
+    amps = np.full(shape, 1e308 - 1e308j)
+    amps.flat[::7] = -1e308 + 1e308j
+    _check_finite(amps)
+    with np.errstate(over="raise", invalid="raise"):
+        _check_finite(amps)
+
+
+@pytest.mark.parametrize("shape", [(256,), (85, 256)])
+@pytest.mark.parametrize("bad", [
+    {(3, "imag"): np.nan},
+    {(5, "real"): np.inf},
+    {(5, "imag"): -np.inf},
+    {(2, "real"): np.inf, (9, "real"): -np.inf},  # their sum is NaN
+])
+def test_check_finite_raises_on_any_non_finite_part(shape, bad):
+    amps = np.full(shape, 0.5 - 0.25j)
+    flat = amps.reshape(-1)
+    for (i, part), value in bad.items():
+        setattr(flat[i:i + 1], part, value)
+    with pytest.raises(NonFiniteAmplitude):
+        _check_finite(amps)
+    with np.errstate(over="raise", invalid="raise"), pytest.raises(NonFiniteAmplitude):
+        _check_finite(amps)
 
 
 def test_snapshot_cadence_must_divide():

@@ -64,6 +64,28 @@ def test_counter_uniform_range_and_mean():
     assert abs(np.mean(u) - 0.5) < 0.005
 
 
+def _splitmix64_uniform(seed, trial):
+    """counter_uniform of one (seed, trial), in Python integer arithmetic."""
+    mask = 2**64 - 1
+    z = (seed + 0x9E3779B97F4A7C15 * (trial + 1)) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    z ^= z >> 31
+    return (z >> 11) / 2**53
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
+def test_counter_uniform_is_splitmix64_bit_for_bit(seed):
+    trials = [0, 2**32, 2**64 - 2]
+    block = np.arange(2**40 - 3, 2**40 + 509, dtype=np.uint64)
+    for t in trials:
+        assert counter_uniform(seed, t) == _splitmix64_uniform(seed, t)
+    for t in (np.array(trials, dtype=np.uint64), block):
+        expected = np.array([_splitmix64_uniform(seed, int(i)) for i in t])
+        assert np.array_equal(counter_uniform(seed, t).view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(block, np.arange(2**40 - 3, 2**40 + 509, dtype=np.uint64))
+
+
 # --- detection sampling -----------------------------------------------------------
 
 def point_mass_density(j_offset=5):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -318,6 +319,36 @@ def test_fringe_peaks_flat_density_has_none():
     psi = WaveFunction(g, amps)  # position spike: flat momentum density
     with pytest.raises(NoPeaks):
         fringe_peaks(to_momentum(psi))
+
+
+def _fringe_peaks_by_index(dens):
+    """fringe_peaks' rule, tested one index at a time."""
+    g, d = dens.grid, dens.density()
+    threshold = 0.1 * float(np.max(d))
+    peaks = []
+    for j in range(1, g.n - 1):
+        if d[j] >= threshold and d[j] > d[j - 1] and d[j] >= d[j + 1]:
+            denom = d[j - 1] - 2.0 * d[j] + d[j + 1]
+            delta = 0.0 if denom == 0.0 else 0.5 * (d[j - 1] - d[j + 1]) / denom
+            peaks.append((float(g.p[j] + delta * g.dp),
+                          float(d[j] - 0.25 * (d[j - 1] - d[j + 1]) * delta)))
+    return peaks
+
+
+def test_fringe_peaks_match_the_per_index_rule():
+    g = make_grid(32, -4.0, 8.0)
+    d = np.zeros(g.n)
+    d[3:6] = [1.0, 7.0, 2.0]  # a peak below the threshold
+    d[8:13] = [3.0, 50.0, 50.0, 50.0, 4.0]  # a plateau: its first point counts
+    d[15:18] = [40.0, 40.0, 6.0]  # a left tie: not a peak
+    d[20:23] = [9.0, 500.0, 1.0]  # the top, which sets the threshold at 50
+    d[25:28] = [0.5, 0.1 * 500.0, 0.5]  # exactly at the threshold: a peak
+    d[29:32] = [2.0, 49.0, 2.0]  # just below it
+    assert 0.1 * 500.0 == 50.0
+    dens = SimpleNamespace(grid=g, density=lambda: d)
+    peaks = fringe_peaks(dens)
+    assert peaks == _fringe_peaks_by_index(dens)
+    assert np.all(np.abs(np.array(peaks)[:, 0] - g.p[[9, 21, 26]]) <= 0.5 * g.dp)
 
 
 # --- taylor_divergence_demo -------------------------------------------------------

@@ -28,10 +28,23 @@ from modlab.errors import (
     ResolutionGuard,
     ZeroState,
 )
+from modlab.states import _packet_amps
 
 
 def wide_grid(n=1024, length=128.0, hbar=1.0):
     return make_grid(n, -length / 2.0, length, hbar)
+
+
+@pytest.mark.parametrize("kind", ["bump", "gaussian"])
+@pytest.mark.parametrize("p0", [0.0, -0.0])
+def test_packet_without_momentum_is_the_carrier_product_bit_for_bit(kind, p0):
+    g = make_grid(512, -13.0, 32.0, 0.7)
+    amps = _packet_amps(g, PacketSpec(kind, 1.3, 1.1, p0=p0), 1.3)
+    env = amps.real
+    product = env * np.exp(1j * p0 * g.x / g.hbar)
+    assert np.array_equal(amps.view(np.uint64), product.view(np.uint64))  # signed zeros too
+    moving = _packet_amps(g, PacketSpec(kind, 1.3, 1.1, p0=0.25), 1.3)
+    np.testing.assert_allclose(np.abs(moving), env, rtol=1e-15, atol=0.0)
 
 
 def test_gaussian_packet_moments():
