@@ -18,7 +18,14 @@ from typing import ClassVar
 import numpy as np
 
 from . import _fft
-from .errors import GridMismatch, NonPositiveDomain, NonPowerOfTwo, OffLatticeL, ZeroState
+from .errors import (
+    ArgumentError,
+    GridMismatch,
+    NonPositiveDomain,
+    NonPowerOfTwo,
+    OffLatticeL,
+    ZeroState,
+)
 
 
 @dataclass(frozen=True)
@@ -185,8 +192,11 @@ def translate(psi: WaveFunction, a: float) -> WaveFunction:
 
     Spectrally this multiplies momentum amplitudes by exp(i p a / hbar); when
     a is an integer multiple of dx the result is an exact circular index roll.
-    A packet centered at c moves to c - a.
+    A packet centered at c moves to c - a. A shift that is not a finite number
+    of steps dx (NaN, inf, or so large that a/dx overflows) raises ArgumentError.
     """
+    if not math.isfinite(a / psi.grid.dx):
+        raise ArgumentError(f"shift must be a finite number of steps, got {a}")
     try:
         m = lattice_steps(psi.grid, a)
     except OffLatticeL:

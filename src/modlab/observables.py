@@ -92,7 +92,7 @@ def _translation_expect(
     pos_val = inner(psi, translate(psi, k * L))
     mom_val = complex(np.sum(weights * np.exp(1j * g.p * k * L / g.hbar)))
     tol = _CROSS_CHECK_TOL * max(1.0, norm**2)
-    if abs(pos_val - mom_val) > tol:
+    if not abs(pos_val - mom_val) <= tol:  # a NaN gap fails too
         raise InternalInconsistency(
             f"overlap form {pos_val} and spectral form {mom_val} disagree by "
             f"{abs(pos_val - mom_val):.3g}"
@@ -124,7 +124,9 @@ def modular_distribution(
     if bins < 8:
         raise ArgumentError(f"bins must be >= 8, got {bins}")
     g = psi.grid
-    period = 2.0 * math.pi * g.hbar / L
+    period = 2.0 * math.pi * g.hbar / L if L else math.inf
+    if not math.isfinite(period):
+        raise ArgumentError(f"L = {L} gives no finite cell period")
     if period < 4.0 * g.dp:
         raise PeriodUnderResolved(
             f"cell {period:.3g} spans fewer than 4 momentum lattice cells (dp={g.dp:.3g})"

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fft
-from .errors import DimCap, NonDifferentiableV
+from .errors import ArgumentError, DimCap, NonDifferentiableV
 from .evolve import PotentialSpec
 from .grid import Grid, _circulant_view, lattice_steps
 from .observables import MomentSpec
 
 MATRIX_DIM_CAP = 2048
-_BLOCK = 64  # rows per block of the Weyl build and the hermitian guard's scale pass
+_BLOCK = 64  # rows per block of the Weyl build, the EOM commutator and the guard's scale pass
 _TILE = 128  # side of the hermitian guard's square tiles
 
 
@@ -103,19 +103,31 @@ def eom_identity_residual(
 
     with H = P^2/2m + diag(V). The kinetic part commutes with T_L exactly, so
     the return value is pure roundoff.
+
+    Only H and T_L are n x n once P^2 is formed: the commutator is taken 64 rows
+    at a time in two block buffers, each block's max|c| folded into a running
+    maximum, with the same products and elementwise steps as the whole matrix.
     """
+    if not mass > 0.0:
+        raise ArgumentError(f"mass must be > 0, got {mass}")
     m = lattice_steps(grid, L)
+    _check_dim(grid)
     v = V.values(grid)
-    p_mat = build_p(grid).entries
-    h = p_mat @ p_mat  # n x n buffers are reused in place
+    # P (build_p's entries, without its hermitian guard) is freed once squared
+    h = np.linalg.matrix_power(_spectral_view(grid.p).copy(), 2)
     h /= 2.0 * mass
     h[np.diag_indices_from(h)] += v
     t = build_translation(grid, L).entries
-    c = h @ t
-    c -= t @ h
-    c -= (v - np.roll(v, -m))[:, None] * t
-    c *= 1j / grid.hbar
-    return float(np.max(np.abs(c)))
+    dv = v - np.roll(v, -m)
+    c, buf = np.empty((2, min(_BLOCK, grid.n), grid.n), complex)
+    worst = 0.0  # np.maximum keeps a NaN
+    for i in range(0, grid.n, _BLOCK):
+        np.matmul(h[i:i + _BLOCK], t, out=c)
+        c -= np.matmul(t[i:i + _BLOCK], h, out=buf)
+        c -= np.multiply(dv[i:i + _BLOCK, None], t[i:i + _BLOCK], out=buf)
+        c *= 1j / grid.hbar
+        worst = np.maximum(worst, np.max(np.abs(c)))
+    return float(worst)
 
 
 def weyl_matrix(grid: Grid, n_x: int, m_p: int) -> OperatorMatrix:
@@ -190,6 +202,10 @@ def ellipse_check(P_total: float, L: float, hbar: float, samples: int = 64) -> f
     """
     if samples < 16:
         raise ValueError(f"samples must be >= 16, got {samples}")
+    if not (math.isfinite(P_total) and 0.0 < L < math.inf and 0.0 < hbar < math.inf):
+        raise ArgumentError(
+            f"need finite P_total and finite L, hbar > 0; got P_total={P_total} L={L} hbar={hbar}"
+        )
     p1 = (2.0 * math.pi * hbar / L) * np.arange(samples) / samples
     u = np.cos(p1 * L / hbar)
     v = np.cos((P_total - p1) * L / hbar)

@@ -132,6 +132,21 @@ def test_phase_wrap_warning_two_particle():
         propagate_two(state, PotentialSpec.zero(), PropagatorConfig(dt=dt, steps=1))
 
 
+def test_phase_wrap_guard_scales_with_mass():
+    # mass x 4 with dt x 4 keeps the phase per step p^2 dt/2m hbar, here at most
+    # 0.9 pi on a state with weight at every momentum; dt x 4 alone wraps it
+    g = make_grid(128, -16.0, 32.0)
+    dt = 1.8 * math.pi / float(np.max(g.p_raw**2))
+    rng = np.random.default_rng(5)
+    psi = WaveFunction(g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)).normalized()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mass in (1.0, 4.0):
+            propagate(psi, PotentialSpec.zero(), PropagatorConfig(dt=mass * dt, steps=1, mass=mass))
+    with pytest.warns(PhaseWrapWarning):
+        propagate(psi, PotentialSpec.zero(), PropagatorConfig(dt=4.0 * dt, steps=1))
+
+
 def test_non_finite_amplitude_detected():
     g = make_grid(256, -16.0, 32.0)
     amps = np.full(g.n, np.nan, dtype=complex)
@@ -562,3 +577,32 @@ def test_translate_then_propagate_commutes_for_free_flight():
     a = translate(propagate(psi, PotentialSpec.zero(), cfg, snapshot_every=50)[-1], 3.0)
     b = propagate(translate(psi, 3.0), PotentialSpec.zero(), cfg, snapshot_every=50)[-1]
     assert np.max(np.abs(a.amps - b.amps)) < 1e-12
+
+
+# Strang is symmetric, so for a real potential conj . S(dt) . conj = S(-dt): N steps,
+# a conjugation, N more steps and a conjugation return the input. An asymmetric
+# composition (a missing half kick, say) breaks this at O(dt).
+def _time_reversal_error(state, step):
+    there = step(state)
+    back = step(type(state)(state.grid, there.amps.conj()))
+    return np.max(np.abs(back.amps.conj() - state.amps)) / np.max(np.abs(state.amps))
+
+
+def test_time_reversal_round_trip_one_particle():
+    g = make_grid(256, -16.0, 32.0, hbar=0.7)
+    psi = make_packet(g, PacketSpec("gaussian", -2.5, 0.7, p0=1.5))
+    barrier = PotentialSpec.barrier(2.0, -0.5, 0.5)
+    cfg = PropagatorConfig(dt=0.01, steps=200, mass=1.3)
+    error = _time_reversal_error(psi, lambda s: propagate(s, barrier, cfg, cfg.steps)[-1])
+    assert error <= 1e-12
+
+
+def test_time_reversal_round_trip_two_particles():
+    g = make_grid(64, -8.0, 16.0)  # too coarse for make_packet's margins
+    a, b = (WaveFunction(g, np.exp(-0.5 * (g.x - c) ** 2 + 1j * p0 * g.x))
+            for c, p0 in ((-2.5, 1.5), (2.5, -1.5)))
+    state = product_state(a, b)
+    well = PotentialSpec.sampled(-4.0 * np.exp(-g.x**2 / 2.0))
+    cfg = PropagatorConfig(dt=0.01, steps=200, mass=1.3)
+    error = _time_reversal_error(state, lambda s: propagate_two(s, well, cfg, cfg.steps)[-1])
+    assert error <= 1e-12

@@ -663,9 +663,7 @@ _HBAR_DOUBLING = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_HBAR_DOUBLING))
-def test_doubling_hbar_scales_every_value(name, tmp_path):
-    raw, param_factors, value_factors, rounded = _HBAR_DOUBLING[name]
+def _assert_scaling(name, raw, param_factors, value_factors, rounded, tmp_path):
     params = validate_params(name, raw)
     doubled = dict(params)
     for key, factor in param_factors.items():
@@ -682,3 +680,24 @@ def test_doubling_hbar_scales_every_value(name, tmp_path):
             assert np.max(np.abs(got[key] - want)) <= 1e-12 * scale, key
         else:
             assert np.array_equal(got[key], want), key
+
+
+@pytest.mark.parametrize("name", sorted(_HBAR_DOUBLING))
+def test_doubling_hbar_scales_every_value(name, tmp_path):
+    _assert_scaling(name, *_HBAR_DOUBLING[name], tmp_path)
+
+
+# mass x 4, dt x 4 and every potential x 1/4 scale H/hbar by 1/4 and time by 4, so
+# every phase is unchanged; the factors are powers of two, so values move bit for bit
+_MASS_SCALING = {
+    "eom-check": ({"n": "256", "length": "32", "steps": "40", "levels": "2"},
+                  {"mass": 4, "dt": 4, "barrier_height": 0.25},
+                  {"dt": 4, "max_residual": 0.25}, set()),
+    "two-particle": ({"steps": "100"}, {"mass": 4, "dt": 4, "well_depth": 0.25},
+                     {"time": 4}, set()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MASS_SCALING))
+def test_quadrupling_mass_scales_every_value(name, tmp_path):
+    _assert_scaling(name, *_MASS_SCALING[name], tmp_path)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from modlab import (
     translate,
 )
 from modlab import _fft
-from modlab.errors import GridMismatch, NonPositiveDomain, NonPowerOfTwo, ZeroState
+from modlab.errors import ArgumentError, GridMismatch, NonPositiveDomain, NonPowerOfTwo, ZeroState
 from modlab.grid import _translate_spectral, circulant
 
 # frozen oracle: 2*pi/128 evaluated in extended precision
@@ -199,6 +200,15 @@ def test_translate_identity_and_full_period():
     assert np.max(np.abs(translate(psi, 0.0).amps - psi.amps)) < 1e-15
     assert np.max(np.abs(translate(psi, g.length).amps - psi.amps)) < 1e-13
     assert np.max(np.abs(_translate_spectral(psi, g.length).amps - psi.amps)) < 1e-13
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 1e308])  # 1e308 / dx overflows
+def test_translate_refuses_a_non_finite_shift(a):
+    psi = make_packet(make_grid(256, -16.0, 32.0), PacketSpec("bump", 0.0, 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError):
+            translate(psi, a)
 
 
 def test_translate_spectral_matches_index_roll():

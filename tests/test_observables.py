@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +28,7 @@ from modlab import (
 )
 from modlab import observables
 from modlab.errors import (
+    ArgumentError,
     DegreeCap,
     GridMismatch,
     InternalInconsistency,
@@ -104,6 +106,26 @@ def test_translation_expect_refuses_routes_that_disagree(monkeypatch):
         translation_expect(psi, 1.0)
 
 
+@pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf])
+def test_translation_expect_refuses_a_non_finite_length(L):
+    psi = two_bumps(grid_for_bumps())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError):
+            translation_expect(psi, L)
+
+
+def test_translation_expect_refuses_a_nan_state():
+    # a NaN gap between the routes fails the cross-check rather than passing it
+    g = make_grid(256, -16.0, 32.0)
+    amps = make_packet(g, PacketSpec("gaussian", 0.0, 1.0)).amps.copy()
+    amps[100] = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InternalInconsistency):
+            translation_expect(WaveFunction(g, amps), 2.0)
+
+
 # --- modular_distribution ----------------------------------------------------
 
 def test_modular_distribution_localized_uniform():
@@ -138,6 +160,15 @@ def test_modular_distribution_under_resolved():
         modular_distribution(two_bumps(g), g.length / 2.0)
     with pytest.raises(ValueError):
         modular_distribution(two_bumps(g), 8.0, bins=4)
+
+
+@pytest.mark.parametrize("L", [math.nan, 0.0])
+def test_modular_distribution_refuses_a_non_finite_period(L):
+    psi = two_bumps(grid_for_bumps())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError):
+            modular_distribution(psi, L)
 
 
 def test_fold_consistency_reconstructs_coefficients():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -21,7 +22,7 @@ from modlab import (
     translate,
     weyl_matrix,
 )
-from modlab.errors import DegreeCap, DimCap, NonDifferentiableV, OffLatticeL
+from modlab.errors import ArgumentError, DegreeCap, DimCap, NonDifferentiableV, OffLatticeL
 
 
 def small_grid(n=256, length=32.0, hbar=1.0):
@@ -177,6 +178,36 @@ def test_eom_identity_residual_matches_the_explicit_expression():
             assert eom_identity_residual(g, v, m * g.dx) == want, (v.kind, m)
 
 
+@pytest.mark.parametrize("n", [8, 32, 512])
+def test_eom_identity_residual_matches_the_explicit_expression_by_row_blocks(n):
+    # one block of n < 64 rows, or n / 64 full blocks; hbar and mass away from 1
+    g = make_grid(n, -n / 8.0, n / 4.0, hbar=0.7)
+    mass = 1.3
+    v = PotentialSpec.sampled(np.random.default_rng(n).normal(size=n))
+    vals = v.values(g)
+    p_mat = build_p(g).entries
+    h = p_mat @ p_mat / (2.0 * mass) + np.diag(vals.astype(complex))
+    for m in (1, 3, n // 2):
+        t = build_translation(g, m * g.dx).entries
+        correction = (vals - np.roll(vals, -m))[:, None] * t
+        want = float(np.max(np.abs((1j / g.hbar) * (h @ t - t @ h - correction))))
+        assert eom_identity_residual(g, v, m * g.dx, mass) == want, m
+
+
+def test_eom_identity_residual_holds_no_commutator_matrix():
+    # H and T_L are 2 n x n arrays, and the two row-block buffers 1/4 more at
+    # n = 512; one more n x n complex array (a whole commutator or product) breaks it
+    g = make_grid(512, -64.0, 128.0)
+    v = PotentialSpec.barrier(2.0, -3.0, 3.0)
+    tracemalloc.start()
+    try:
+        eom_identity_residual(g, v, 8 * g.dx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * g.n**2 * 16
+
+
 def test_eom_identity_guards():
     g = small_grid()
     with pytest.raises(OffLatticeL):
@@ -184,6 +215,15 @@ def test_eom_identity_guards():
     big = make_grid(4096, -32.0, 64.0)
     with pytest.raises(DimCap):
         eom_identity_residual(big, PotentialSpec.zero(), big.dx)
+
+
+@pytest.mark.parametrize("mass", [0.0, -1.0, math.nan])
+def test_eom_identity_refuses_a_non_positive_mass(mass):
+    g = small_grid(64, 16.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError):
+            eom_identity_residual(g, PotentialSpec.zero(), g.dx, mass)
 
 
 def test_weyl_matrix_lowest_mixed_case():
@@ -431,6 +471,17 @@ def test_ellipse_random_draws():
 def test_ellipse_samples_guard():
     with pytest.raises(ValueError):
         ellipse_check(1.0, 1.0, 1.0, samples=8)
+
+
+@pytest.mark.parametrize("args", [(math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
+                                  (1.0, math.nan, 1.0), (1.0, math.inf, 1.0),
+                                  (1.0, 0.0, 1.0), (1.0, -1.0, 1.0),
+                                  (1.0, 1.0, 0.0), (1.0, 1.0, math.nan)])
+def test_ellipse_refuses_non_finite_or_non_positive_arguments(args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError):
+            ellipse_check(*args)
 
 
 def test_dim_cap_on_builders():
