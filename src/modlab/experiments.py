@@ -161,7 +161,7 @@ def _centered_array(m: int, spacing: float, kind: str, width: float,
 _DRAW_CHUNK = 2**16  # random-walk draws per block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionSample:
     trial: int
     p_detected: float

@@ -96,7 +96,13 @@ def make_grid(n: int, x0: float, length: float, hbar: float = 1.0) -> Grid:
 @dataclass(frozen=True, eq=False)
 class Amplitudes:
     """Read-only complex amplitudes over `rank` copies of a Grid's lattice: the
-    one base of the position, momentum and two-particle amplitude types."""
+    one base of the position, momentum and two-particle amplitude types.
+
+    A complex128 input array is kept, not copied, and flagged read-only: the
+    caller must not change it afterwards through another writable view. A
+    `WaveFunction` keeps its momentum amplitudes once `to_momentum` has made
+    them, one more n-point complex array per transformed state, and that memo
+    holds only while the position amplitudes do not change."""
 
     grid: Grid
     amps: np.ndarray
@@ -130,6 +136,15 @@ class WaveFunction(Amplitudes):
 
     position_density = Amplitudes.density
 
+    @cached_property
+    def _momentum(self) -> "MomentumAmplitudes":
+        """The state's momentum amplitudes, transformed on first use and kept, so
+        every observable of one state shares one transform."""
+        g = self.grid
+        raw = _fft.fft(self.amps)
+        amps = np.fft.fftshift(raw) * g.origin_phase * (g.dx / math.sqrt(2.0 * math.pi * g.hbar))
+        return MomentumAmplitudes(g, amps)
+
 
 class MomentumAmplitudes(Amplitudes):
     """Complex amplitudes in the momentum representation, ordered by increasing p."""
@@ -162,10 +177,8 @@ def circulant(c: np.ndarray, shift: int = 0) -> np.ndarray:
 
 
 def to_momentum(psi: WaveFunction) -> MomentumAmplitudes:
-    g = psi.grid
-    raw = _fft.fft(psi.amps)
-    amps = np.fft.fftshift(raw) * g.origin_phase * (g.dx / math.sqrt(2.0 * math.pi * g.hbar))
-    return MomentumAmplitudes(g, amps)
+    """psi's momentum amplitudes: read-only, and computed once per state."""
+    return psi._momentum
 
 
 def from_momentum(mom: MomentumAmplitudes) -> WaveFunction:

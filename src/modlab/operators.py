@@ -184,7 +184,10 @@ def classical_step(
     mass: float = 1.0,
     grid: Grid | None = None,
 ) -> ClassicalState:
-    """One kick-drift-kick leapfrog step; symplectic, O(dt^2) per step."""
+    """One kick-drift-kick leapfrog step; symplectic, O(dt^2) per step. A negative
+    dt steps backward; mass must be finite and > 0, and dt finite."""
+    if not (0.0 < mass < math.inf and math.isfinite(dt)):
+        raise ArgumentError(f"need finite mass > 0 and finite dt; got mass={mass} dt={dt}")
     p_half = state.p + 0.5 * dt * _classical_force(V, state.x, grid)
     x_new = state.x + dt * p_half / mass
     p_new = p_half + 0.5 * dt * _classical_force(V, x_new, grid)

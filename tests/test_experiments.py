@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from modlab import (
+    DetectionSample,
     ExperimentConfig,
     MomentumAmplitudes,
     PacketSpec,
@@ -124,6 +127,18 @@ def test_sample_detections_reproducible():
     a = sample_detections(dens, 10, seed=42)
     b = sample_detections(dens, 10, seed=42)
     assert all(x == y for x, y in zip(a, b))
+
+
+def test_detection_sample_is_a_slotted_frozen_record():
+    _, dens = point_mass_density()
+    a, b = sample_detections(dens, 2, seed=5)
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.p_detected = 0.0
+    twin = DetectionSample(a.trial, a.p_detected, a.recoil_cumulative)
+    assert twin == a and hash(twin) == hash(a) and a != b
+    assert dataclasses.replace(a, trial=b.trial, recoil_cumulative=b.recoil_cumulative) == b
+    assert pickle.loads(pickle.dumps(a)) == a
 
 
 def test_sample_detections_rejects_no_trials():

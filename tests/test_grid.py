@@ -102,6 +102,19 @@ def test_to_momentum_is_the_explicit_expression():
         g.origin_phase[0] = 1.0
 
 
+def test_to_momentum_is_kept_per_state():
+    g = make_grid(256, -10.0, 40.0, 0.7)
+    rng = np.random.default_rng(17)
+    psi = WaveFunction(g, rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
+    mom = to_momentum(psi)
+    assert to_momentum(psi) is mom
+    fresh = to_momentum(WaveFunction(g, psi.amps.copy()))
+    assert fresh is not mom
+    assert np.array_equal(mom.amps, fresh.amps)
+    with pytest.raises(ValueError):
+        mom.amps[0] = 1.0
+
+
 @pytest.mark.parametrize("x0,length,hbar", [
     (-8.0, 16.0, 1.0), (-10.0, 40.0, 0.7), (-10.0, 40.0, 2.0), (-32.0, 64.0, 0.5),
 ])

@@ -26,7 +26,7 @@ from modlab import (
     tv_from_uniform,
     weyl_moment,
 )
-from modlab import observables
+from modlab import _fft, observables
 from modlab.errors import (
     ArgumentError,
     DegreeCap,
@@ -417,3 +417,23 @@ def test_taylor_orders_cap():
 def test_tv_from_uniform_uniform_is_zero():
     assert tv_from_uniform(np.full(16, 1.0 / 16.0)) == 0.0
     assert tv_from_uniform(np.array([1.0, 0.0])) == pytest.approx(0.5)
+
+
+def test_momentum_observables_of_one_state_share_one_transform(monkeypatch):
+    g = make_grid(256, -16.0, 32.0)
+    L = 64 * g.dx
+    psi = make_two_slit(g, L, PacketSpec("bump", -L / 2.0, 1.5), 0.9)
+    fft, forward = _fft.fft, []
+
+    def counting(a, axis=-1, overwrite=False):
+        forward.append(a.shape)
+        return fft(a, axis=axis, overwrite=overwrite)
+
+    monkeypatch.setattr(_fft, "fft", counting)
+    moments = [weyl_moment(psi, MomentSpec(0, m)) for m in range(1, 7)]
+    c1 = translation_expect(psi, L)
+    assert forward == [(g.n,)]
+    monkeypatch.undo()
+    fresh = WaveFunction(g, psi.amps.copy())
+    assert moments == [weyl_moment(fresh, MomentSpec(0, m)) for m in range(1, 7)]
+    assert c1 == translation_expect(fresh, L)

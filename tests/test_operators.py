@@ -431,6 +431,17 @@ def test_classical_chain_rule_second_order():
     assert 3.0 < r_coarse / r_fine < 5.0
 
 
+@pytest.mark.parametrize("dt, mass", [
+    (0.01, 0.0), (0.01, -1.0), (0.01, math.nan), (0.01, math.inf),
+    (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+])
+def test_classical_step_rejects_bad_mass_or_dt(dt, mass):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError):
+            classical_step(ClassicalState(0.5, 1.25), PotentialSpec.harmonic(1.0), dt, mass=mass)
+
+
 def test_classical_sampled_potential_slope():
     g = small_grid(256, 32.0)
     k = 0.8
