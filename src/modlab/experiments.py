@@ -49,13 +49,13 @@ from .observables import (
 )
 from .records import ExperimentRecord, write_record
 from .rng import GENERATOR_NAME, counter_uniform
+from .scattering import FluxParam, ScatterConfig, _checked_kr, _psi
 from .states import PacketSpec, SlitArraySpec, make_grating, make_packet
 
 
 def _record(name: str, params_echo: dict, seed: int, columns: dict,
             summary: dict) -> ExperimentRecord:
-    """The one place a record is built: columns as arrays, provenance stamped."""
-    columns = {k: np.asarray(v) for k, v in columns.items()}
+    """The one place a record is built: provenance stamped."""
     provenance = f"modlab {__version__} seed={seed} rng={GENERATOR_NAME}"
     return ExperimentRecord(name, params_echo, columns, provenance, summary)
 
@@ -85,7 +85,10 @@ def _finite(raw) -> float:
 def _coerce(name: str, spec: Param, raw) -> object:
     try:
         if spec.kind == "int":
-            return int(raw)
+            value = int(raw)  # inf raises OverflowError, NaN ValueError
+            if not isinstance(raw, str) and value != raw:  # 20.9 is not 20
+                raise ValueError(f"{raw!r} is not a whole number")
+            return value
         if spec.kind == "float":
             return _finite(raw)
         if spec.kind == "floats":
@@ -93,7 +96,7 @@ def _coerce(name: str, spec: Param, raw) -> object:
                 return [_finite(v) for v in raw]
             return [_finite(tok) for tok in str(raw).split(",") if tok.strip()]
         return str(raw)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise SchemaViolation(f"parameter {name!r}: cannot parse {raw!r} as {spec.kind}") from e
 
 
@@ -548,8 +551,6 @@ def _run_two_particle(params: dict, seed: int) -> tuple[dict, dict]:
     "n_max": Param("int", 0, "series truncation; 0 means ceil(k*r) + 40"),
 })
 def _run_scattering(params: dict, seed: int) -> tuple[dict, dict]:
-    from .scattering import FluxParam, ScatterConfig, _checked_kr, _psi
-
     kr = _checked_kr(params["k"], params["r"])
     params["n_max"] = params["n_max"] or math.ceil(kr) + 40  # the echo shows the value used
     thetas = tuple(-math.pi + 2.0 * math.pi * i / params["n_thetas"]

@@ -79,19 +79,11 @@ def translation_expect(psi: WaveFunction, L: float, k: int = 1) -> complex:
     """
     if k < 1:
         raise ArgumentError(f"k must be >= 1, got {k}")
-    return _translation_expect(psi, L, k, to_momentum(psi).density() * psi.grid.dp,
-                               psi.norm())
-
-
-def _translation_expect(
-    psi: WaveFunction, L: float, k: int, weights: np.ndarray, norm: float
-) -> complex:
-    """`translation_expect` given psi's momentum probabilities and norm, so a
-    caller asking for several k transforms the state once."""
     g = psi.grid
     pos_val = inner(psi, translate(psi, k * L))
+    weights = to_momentum(psi).density() * g.dp
     mom_val = complex(np.sum(weights * np.exp(1j * g.p * k * L / g.hbar)))
-    tol = _CROSS_CHECK_TOL * max(1.0, norm**2)
+    tol = _CROSS_CHECK_TOL * max(1.0, psi.norm() ** 2)
     if not abs(pos_val - mom_val) <= tol:  # a NaN gap fails too
         raise InternalInconsistency(
             f"overlap form {pos_val} and spectral form {mom_val} disagree by "
@@ -125,17 +117,14 @@ def modular_distribution(
         raise ArgumentError(f"bins must be >= 8, got {bins}")
     g = psi.grid
     period = 2.0 * math.pi * g.hbar / L if L else math.inf
-    if not math.isfinite(period):
-        raise ArgumentError(f"L = {L} gives no finite cell period")
+    if not 0.0 < period < math.inf:  # L <= 0, NaN or inf
+        raise ArgumentError(f"L = {L} gives no finite positive cell period")
     if period < 4.0 * g.dp:
         raise PeriodUnderResolved(
             f"cell {period:.3g} spans fewer than 4 momentum lattice cells (dp={g.dp:.3g})"
         )
-    weights = to_momentum(psi).density() * g.dp
-    density = fold_density(g.p, weights, period, bins)
-    norm = psi.norm()
-    fourier = np.array([_translation_expect(psi, L, k, weights, norm)
-                        for k in range(1, k_max + 1)])
+    density = fold_density(g.p, to_momentum(psi).density() * g.dp, period, bins)
+    fourier = np.array([translation_expect(psi, L, k) for k in range(1, k_max + 1)])
     return ModularDistribution(L=L, period=period, bins=bins, density=density, fourier=fourier)
 
 
@@ -186,12 +175,15 @@ def eom_residual(
     """Residual of d/dt <T_L> = (i/hbar) <(V(x) - V(x+L)) T_L> along a trajectory.
 
     snapshots must share one grid and be uniformly spaced by dt (pass `times`
-    to have the spacing verified); L must be a lattice multiple so V(x + L)
-    is an exact roll.
+    to have the spacing verified); dt must be finite and non-zero, and is
+    negative for snapshots in reverse time order; L must be a lattice multiple
+    so V(x + L) is an exact roll.
     Returns |centered difference - right-hand side| at each interior snapshot.
     """
     if len(snapshots) < 3:
         raise ArgumentError(f"need at least 3 snapshots, got {len(snapshots)}")
+    if not (math.isfinite(dt) and dt != 0.0):
+        raise ArgumentError(f"dt must be finite and non-zero, got {dt}")
     if times is not None:
         times = np.asarray(times, dtype=float)
         if len(times) != len(snapshots) or not np.allclose(

@@ -48,7 +48,7 @@ class OperatorMatrix:
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=np.complex128).view()
         if e.shape != (self.dim, self.dim):
-            raise ValueError(f"expected {(self.dim,) * 2} entries, got {e.shape}")
+            raise ArgumentError(f"expected {(self.dim,) * 2} entries, got {e.shape}")
         if self.hermitian:  # np.maximum keeps a NaN
             gap, scale, t = 0.0, 1.0, _TILE
             with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test below
@@ -60,7 +60,7 @@ class OperatorMatrix:
                     for i in range(0, self.dim, _BLOCK):
                         scale = np.maximum(scale, np.max(np.abs(e[i:i + _BLOCK])))
             if not gap <= 1e-12 * scale:
-                raise ValueError("entries are not hermitian within 1e-12")
+                raise ArgumentError("entries are not hermitian within 1e-12")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
@@ -158,7 +158,7 @@ class ClassicalState:
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.p)):
-            raise ValueError(f"non-finite classical state ({self.x}, {self.p})")
+            raise ArgumentError(f"non-finite classical state ({self.x}, {self.p})")
 
 
 def _classical_force(V: PotentialSpec, x: float, grid: Grid | None) -> float:
@@ -168,7 +168,7 @@ def _classical_force(V: PotentialSpec, x: float, grid: Grid | None) -> float:
         return -V.k_spring * x
     if V.kind == "sampled":
         if grid is None:
-            raise ValueError("sampled potential needs the grid it is sampled on")
+            raise ArgumentError("sampled potential needs the grid it is sampled on")
         vals = V.values(grid)
         # smooth periodic samples: spectral slope, then linear interpolation
         slope = _fft.ifft(1j * (grid.p_raw / grid.hbar) * _fft.fft(vals)).real
@@ -204,7 +204,7 @@ def ellipse_check(P_total: float, L: float, hbar: float, samples: int = 64) -> f
     over a sweep of p1, which is pure roundoff.
     """
     if samples < 16:
-        raise ValueError(f"samples must be >= 16, got {samples}")
+        raise ArgumentError(f"samples must be >= 16, got {samples}")
     if not (math.isfinite(P_total) and 0.0 < L < math.inf and 0.0 < hbar < math.inf):
         raise ArgumentError(
             f"need finite P_total and finite L, hbar > 0; got P_total={P_total} L={L} hbar={hbar}"

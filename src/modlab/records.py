@@ -14,11 +14,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoFailure
+from .errors import ArgumentError, IoFailure
+
+
+# printf conversions giving format_number's output for the Python values
+# tolist returns, by dtype kind; "%.17g" is the conversion format(x, ".17g") makes
+_PRINTF_BY_KIND = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
+_CSV_ROWS = 2**14  # rows formatted at a time: bounds the per-block value lists
 
 
 @dataclass(frozen=True)
 class ExperimentRecord:
+    """One run's result; each column becomes a 1-D bool, int or float array of
+    the common length on construction, or raises ArgumentError."""
+
     experiment: str
     params_echo: dict
     columns: dict[str, np.ndarray]
@@ -26,9 +35,14 @@ class ExperimentRecord:
     summary: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        lengths = {len(v) for v in self.columns.values()}
+        columns = {k: np.asarray(v) for k, v in self.columns.items()}
+        bad = [k for k, v in columns.items() if v.ndim != 1 or v.dtype.kind not in _PRINTF_BY_KIND]
+        if bad:
+            raise ArgumentError(f"columns {bad} are not 1-D bool, int or float arrays")
+        lengths = {len(v) for v in columns.values()}
         if len(lengths) > 1:
-            raise ValueError(f"columns have unequal lengths: {lengths}")
+            raise ArgumentError(f"columns have unequal lengths: {lengths}")
+        object.__setattr__(self, "columns", columns)
 
 
 def format_number(x) -> str:
@@ -47,19 +61,6 @@ def _format_param(v) -> str:
     return format_number(v)
 
 
-# printf conversions giving format_number's output for the Python values
-# tolist returns, by dtype kind; "%.17g" is the conversion format(x, ".17g") makes
-_PRINTF_BY_KIND = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
-_CSV_ROWS = 2**14  # rows formatted at a time: bounds the per-block value lists
-
-
-def _printf_column(v) -> tuple[str, list]:
-    """A printf conversion and the values it takes: a 1-D bool, int or float
-    array converted once, by tolist; any other column as format_number strings."""
-    conv = _PRINTF_BY_KIND.get(v.dtype.kind) if isinstance(v, np.ndarray) and v.ndim == 1 else None
-    return (conv, v.tolist()) if conv else ("%s", [format_number(x) for x in v])
-
-
 def _csv_text(record: ExperimentRecord) -> str:
     lines = [f"# provenance: {record.provenance}"]
     for k, v in record.params_echo.items():
@@ -68,9 +69,10 @@ def _csv_text(record: ExperimentRecord) -> str:
         lines.append(f"# summary {k} = {format_number(v)}")
     lines.append(",".join(record.columns))
     columns = list(record.columns.values())
+    row = ",".join(_PRINTF_BY_KIND[v.dtype.kind] for v in columns)
     for i in range(0, len(columns[0]) if columns else 0, _CSV_ROWS):
-        convs, values = zip(*(_printf_column(v[i:i + _CSV_ROWS]) for v in columns))
-        block = "\n".join([",".join(convs)] * len(values[0]))
+        values = [v[i:i + _CSV_ROWS].tolist() for v in columns]
+        block = "\n".join([row] * len(values[0]))
         lines.append(block % tuple(chain.from_iterable(zip(*values))))
     return "\n".join(lines) + "\n"
 
@@ -95,7 +97,7 @@ def _json_text(record: ExperimentRecord) -> str:
         "provenance": record.provenance,
         "params": record.params_echo,
         "summary": record.summary,
-        "columns": {k: np.asarray(v) for k, v in record.columns.items()},
+        "columns": record.columns,
     }
     return _json_value(obj) + "\n"
 
@@ -103,7 +105,7 @@ def _json_text(record: ExperimentRecord) -> str:
 def write_record(record: ExperimentRecord, out_dir, fmt: str, seed: int) -> Path:
     """Write <experiment>-<seed>.<fmt> under out_dir; returns the path."""
     if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
+        raise ArgumentError(f"format must be csv or json, got {fmt!r}")
     text = _csv_text(record) if fmt == "csv" else _json_text(record)
     path = Path(out_dir) / f"{record.experiment}-{seed}.{fmt}"
     try:

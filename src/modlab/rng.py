@@ -20,16 +20,9 @@ def counter_uniform(seed: int, trials: np.ndarray | int) -> np.ndarray | float:
     """Uniforms in [0, 1) keyed by (seed, trial); trial may be a uint64 array."""
     scalar = np.isscalar(trials)
     t = np.atleast_1d(np.asarray(trials, dtype=np.uint64))
-    z = t + np.uint64(1)  # a fresh array: the mix runs in place on it
-    z *= _GOLDEN
-    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    shifted = np.empty_like(z)
-    z ^= np.right_shift(z, np.uint64(30), out=shifted)
-    z *= _MIX1
-    z ^= np.right_shift(z, np.uint64(27), out=shifted)
-    z *= _MIX2
-    z ^= np.right_shift(z, np.uint64(31), out=shifted)
-    z >>= np.uint64(11)
-    u = z.astype(np.float64)
-    u *= 1.0 / (1 << 53)
+    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN * (t + np.uint64(1))
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    z = z ^ (z >> np.uint64(31))
+    u = (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
     return float(u[0]) if scalar else u

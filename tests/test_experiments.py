@@ -416,6 +416,17 @@ def test_validate_params_type_errors():
         validate_params("two-slit", {"alpha": "not-a-number"})
 
 
+@pytest.mark.parametrize("steps", [20.9, math.inf, -math.inf, math.nan])
+def test_int_parameter_refuses_a_value_it_cannot_hold(steps, tmp_path):
+    with pytest.raises(SchemaViolation, match="'steps'"):
+        run(ExperimentConfig(name="eom-check", params={"steps": steps}, out_dir=str(tmp_path)))
+
+
+def test_int_parameter_takes_a_whole_float():
+    steps = validate_params("two-particle", {"steps": 600.0})["steps"]
+    assert steps == 600 and type(steps) is int
+
+
 def test_validate_params_unknown_experiment():
     with pytest.raises(UnknownExperiment) as err:
         validate_params("nope", {})

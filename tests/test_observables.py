@@ -162,7 +162,7 @@ def test_modular_distribution_under_resolved():
         modular_distribution(two_bumps(g), 8.0, bins=4)
 
 
-@pytest.mark.parametrize("L", [math.nan, 0.0])
+@pytest.mark.parametrize("L", [math.nan, 0.0, -8.0])
 def test_modular_distribution_refuses_a_non_finite_period(L):
     psi = two_bumps(grid_for_bumps())
     with warnings.catch_warnings():
@@ -306,6 +306,27 @@ def test_eom_residual_guards():
                      times=np.array([0.0, 1e-3, 2.5e-3, 3e-3, 4e-3]))
     with pytest.raises(ValueError):
         eom_residual(snaps[:2], PotentialSpec.zero(), 8.0, 1e-3)
+
+
+@pytest.mark.parametrize("dt", [0.0, math.nan, math.inf, -math.inf])
+def test_eom_residual_refuses_an_unusable_time_step(dt):
+    g = make_grid(512, -32.0, 64.0)
+    psi = make_two_slit(g, 8.0, PacketSpec("bump", -4.0, 1.5), 0.0)
+    snaps = propagate(psi, PotentialSpec.zero(), PropagatorConfig(dt=1e-3, steps=4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError, match="dt must be finite and non-zero"):
+            eom_residual(snaps, PotentialSpec.zero(), 8.0, dt)
+
+
+def test_eom_residual_takes_reversed_snapshots_with_a_negative_time_step():
+    g = make_grid(512, -32.0, 64.0)
+    L = 8.0
+    psi = make_two_slit(g, L, PacketSpec("bump", -L / 2.0, 1.5), 0.0)
+    barrier = PotentialSpec.barrier(2.0, L / 2.0 - 1.5, L / 2.0 + 1.5)
+    snaps = propagate(psi, barrier, PropagatorConfig(dt=1e-3, steps=8))
+    forward = eom_residual(snaps, barrier, L, 1e-3)
+    assert np.array_equal(eom_residual(snaps[::-1], barrier, L, -1e-3), forward[::-1])
 
 
 def test_eom_residual_matches_the_per_snapshot_expression():
