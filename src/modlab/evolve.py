@@ -307,9 +307,13 @@ def propagate_two(
     v12: PotentialSpec,
     cfg: PropagatorConfig,
     snapshot_every: int = 1,
-) -> list[TwoParticleState]:
-    """Strang-split two-particle evolution under H = (p1^2 + p2^2)/2m + V(x1 - x2)."""
-    return _strang(state, _two_particle_potential(state.grid, v12), cfg, snapshot_every)
+    observe: Callable[[np.ndarray], object] | None = None,
+) -> list:
+    """Strang-split two-particle evolution under H = (p1^2 + p2^2)/2m + V(x1 - x2).
+    With `observe`, returns what it returns at each snapshot from the stepper's
+    total-momentum sector rows, under the hook contract stated in `_strang`."""
+    return _strang(state, _two_particle_potential(state.grid, v12), cfg, snapshot_every,
+                   observe)
 
 
 def _sector_translations(
@@ -330,8 +334,9 @@ def _sector_translations(
     weights = np.abs(_fft.fft(rows, axis=-1)) ** 2
     phase = np.exp(1j * grid.p_raw * L / grid.hbar) / np.sum(weights)
     row_phase = phase if sectors is None else phase[sectors]
-    return (complex(row_phase @ np.sum(weights, axis=1)),
-            complex(phase @ np.sum(weights, axis=0)))
+    # np.sum, not a BLAS dot, whose summation order depends on the CPU kernel
+    return (complex(np.sum(row_phase * np.sum(weights, axis=1))),
+            complex(np.sum(phase * np.sum(weights, axis=0))))
 
 
 def translation_expect_two(

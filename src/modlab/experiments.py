@@ -31,11 +31,11 @@ from .evolve import (
     PotentialSpec,
     PropagatorConfig,
     _sector_translations,
-    _strang,
     _two_particle_potential,
     free_far_field,
     product_state,
     propagate,
+    propagate_two,
 )
 from .grid import Grid, MomentumAmplitudes, lattice_steps, make_grid, to_momentum
 from .observables import (
@@ -164,11 +164,23 @@ def _centered_array(m: int, spacing: float, kind: str, width: float,
 _DRAW_CHUNK = 2**16  # random-walk draws per block
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DetectionSample:
     trial: int
     p_detected: float
     recoil_cumulative: float
+
+    def __init__(self, trial: int, p_detected: float, recoil_cumulative: float):
+        # the generated frozen __init__'s stores, made through the slot
+        # descriptors bound below without object.__setattr__'s lookup
+        _set_trial(self, trial)
+        _set_p_detected(self, p_detected)
+        _set_recoil_cumulative(self, recoil_cumulative)
+
+
+_set_trial = DetectionSample.trial.__set__
+_set_p_detected = DetectionSample.p_detected.__set__
+_set_recoil_cumulative = DetectionSample.recoil_cumulative.__set__
 
 
 def _lattice_cdf(dens: MomentumAmplitudes) -> np.ndarray:
@@ -190,7 +202,8 @@ def _sample_lattice_p(
 
     A guide table of k = 2n buckets gives a binary search's index: bucket
     j = floor(u k), exact as k is a power of two, bounds it by guide[j] and
-    guide[j + 1], and only draws in buckets where those differ are searched.
+    guide[j + 1], and only draws in buckets where those differ (flagged once per
+    bucket, in a k-entry table) are searched.
     guide[k] is n, since a cumsum overshooting 1 leaves the cdf's tail unsorted.
     """
     n = dens.grid.n
@@ -200,7 +213,7 @@ def _sample_lattice_p(
     u = counter_uniform(seed, trials)
     j = (u * k).astype(np.intp)
     idx = guide[j]
-    open_ = guide[j + 1] != idx
+    open_ = (guide[1:] != guide[:-1])[j]
     idx[open_] = np.searchsorted(cdf, u[open_], side="right")
     return dens.grid.p[np.minimum(idx, n - 1)]
 
@@ -276,6 +289,8 @@ def classical_limit_experiment(
     fold cell 2*pi*hbar/L sweeps the given descending hbar values; the
     total-variation distance from uniform must flatten away.
     """
+    if not 0.0 < L < math.inf:  # L <= 0, NaN or inf
+        raise ArgumentError(f"L must be positive and finite, got {L}")
     if not hbar_values:
         raise ArgumentError("hbar_values needs at least one value")
     if any(h <= 0.0 for h in hbar_values):
@@ -528,11 +543,11 @@ def _run_two_particle(params: dict, seed: int) -> tuple[dict, dict]:
     psi2 = make_packet(grid, PacketSpec("gaussian", +a, params["sigma"], -params["p_approach"]))
     well = PotentialSpec.sampled(-params["well_depth"]
                                  * np.exp(-grid.x**2 / (2.0 * params["well_width"] ** 2)))
-    v12 = _two_particle_potential(grid, well)  # the grid cap, before any n x n array
+    _two_particle_potential(grid, well)  # the grid cap, before any n x n array
     state = product_state(psi1, psi2)
     cfg = PropagatorConfig(dt=params["dt"], steps=params["steps"], mass=params["mass"])
-    pairs = _strang(state, v12, cfg, params["snapshot_every"],
-                    functools.partial(_sector_translations, grid=grid, L=L))
+    pairs = propagate_two(state, well, cfg, params["snapshot_every"],
+                          observe=functools.partial(_sector_translations, grid=grid, L=L))
     t12, t1 = np.array(pairs).T
     d12, d1 = t12 - t12[0], t1 - t1[0]
     # np.hypot rounds as abs(complex) does; np.abs can differ in the last bit

@@ -246,6 +246,8 @@ def test_non_finite_float_exit_code(tmp_path, capsys, experiment, text):
     ("random-walk", "spacing = 5e-324\nn_electrons = 25\nn_repeats = 400\n"),
     ("random-walk", "strict = -7\nn_electrons = 25\nn_repeats = 400\n"),
     ("random-walk", "strict = 2\nn_electrons = 25\nn_repeats = 400\n"),
+    ("classical-limit", "spacing = 0\n"),
+    ("classical-limit", "spacing = -1\n"),
 ])
 def test_argument_error_exit_code(tmp_path, capsys, experiment, text):
     # out-of-range values and degenerate counts are argument errors: exit 2

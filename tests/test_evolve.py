@@ -147,6 +147,26 @@ def test_phase_wrap_guard_scales_with_mass():
         propagate(psi, PotentialSpec.zero(), PropagatorConfig(dt=4.0 * dt, steps=1))
 
 
+@pytest.mark.parametrize("eps, warns", [(1e-3, True), (1e-6, False)])
+def test_phase_wrap_guard_at_hbar_half(eps, warns):
+    # 1 + eps (-1)^j puts a probability share eps^2 / (1 + eps^2) on the
+    # lattice's largest |p|, whose phase per step p^2 dt/2m hbar is 1.2 pi at
+    # hbar = 1/2 (0.3 pi with hbar in the numerator). A share of 1e-6 warns;
+    # 1e-12 does not, though its amplitude share, 1e-6, would, and so would a
+    # threshold of 1e-8 divided by the FFT weights' total, 512 here
+    g = make_grid(128, -16.0, 32.0, 0.5)
+    dt = 1.2 * math.pi * 2.0 * g.hbar / float(np.max(g.p_raw**2))
+    psi = WaveFunction(g, 1.0 + eps * (-1.0) ** np.arange(g.n)).normalized()
+    cfg = PropagatorConfig(dt=dt, steps=1)
+    if warns:
+        with pytest.warns(PhaseWrapWarning):
+            propagate(psi, PotentialSpec.zero(), cfg)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            propagate(psi, PotentialSpec.zero(), cfg)
+
+
 def test_non_finite_amplitude_detected():
     g = make_grid(256, -16.0, 32.0)
     amps = np.full(g.n, np.nan, dtype=complex)

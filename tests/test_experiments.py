@@ -267,6 +267,17 @@ def test_classical_limit_rejects_no_hbar_values():
         classical_limit_experiment(1.0, [], PacketSpec("gaussian", 0.0, 1.0), grid)
 
 
+@pytest.mark.parametrize("L", [-1.0, 0.0, math.nan, math.inf])
+def test_classical_limit_rejects_a_bad_cell_length(L):
+    # refused before any arithmetic: no ZeroDivisionError, RuntimeWarning or
+    # record from a cell of 2 pi hbar / L
+    grid = make_grid(1024, -64.0, 128.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError, match="L must be positive and finite"):
+            classical_limit_experiment(L, [1.0, 0.5], PacketSpec("gaussian", 0.0, 1.0), grid)
+
+
 def test_classical_limit_uniform_input_is_flat():
     # an exactly uniform momentum density folds to zero TV at every cell
     from modlab.observables import fold_density, tv_from_uniform
@@ -525,6 +536,18 @@ def test_run_two_particle_matches_public_route(tmp_path, params):
     for key, want in expected.items():
         assert len(rec.columns[key]) == len(want)
         assert np.max(np.abs(rec.columns[key] - want)) < 1e-12, key
+
+
+def test_two_particle_runner_steps_through_propagate_two(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return propagate_two(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "propagate_two", spy)
+    run(ExperimentConfig(name="two-particle", params={"steps": "40"}, out_dir=str(tmp_path)))
+    assert len(calls) == 1 and calls[0]["observe"] is not None
 
 
 def test_run_two_particle_defaults_do_not_warn(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from modlab import (
     MomentSpec,
+    MomentumAmplitudes,
     PacketSpec,
     PotentialSpec,
     PropagatorConfig,
@@ -104,6 +105,27 @@ def test_translation_expect_refuses_routes_that_disagree(monkeypatch):
     monkeypatch.setattr(observables, "translate", lambda psi, a: translate(psi, a + g.dx))
     with pytest.raises(InternalInconsistency):
         translation_expect(psi, 1.0)
+
+
+@pytest.mark.parametrize("scale, gap, refused", [
+    (1.0, 1.5, True),  # the tolerance is 1e-11 at unit norm
+    (3.0, 0.8, False),  # 1e-11 ||psi||^2 = 9e-11
+    (0.5, 0.8, False),  # never below 1e-11
+])
+def test_translation_expect_tolerance_is_norm_squared(monkeypatch, scale, gap, refused):
+    # a spectral route stretched to sit `gap` tolerances 1e-11 max(1, ||psi||^2)
+    # from the overlap route is refused only past one tolerance
+    g = make_grid(512, -32.0, 64.0)
+    psi = WaveFunction(g, scale * make_packet(g, PacketSpec("gaussian", 0.0, 2.0, p0=1.0)).amps)
+    exact = translation_expect(psi, 1.0)
+    stretch = math.sqrt(1.0 + gap * 1e-11 * max(1.0, scale**2) / abs(exact))
+    monkeypatch.setattr(observables, "to_momentum",
+                        lambda s: MomentumAmplitudes(g, to_momentum(s).amps * stretch))
+    if refused:
+        with pytest.raises(InternalInconsistency):
+            translation_expect(psi, 1.0)
+    else:
+        assert translation_expect(psi, 1.0) == exact
 
 
 @pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf])
