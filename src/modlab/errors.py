@@ -87,7 +87,7 @@ class NoPeaks(ModlabError):
 
 
 class DegreeOverflowWarning(UserWarning):
-    """A moment exceeded the representable range; series truncated."""
+    """A series term exceeded the representable range; series truncated."""
 
 
 # operator matrices

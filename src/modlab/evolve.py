@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -96,11 +97,14 @@ class PropagatorConfig:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not (self.dt > 0.0) or self.steps < 1 or not (self.mass > 0.0):
-            raise ArgumentError(
-                f"need dt > 0, steps >= 1, mass > 0; got dt={self.dt} "
-                f"steps={self.steps} mass={self.mass}"
-            )
+        # an inf dt or mass would step to NaN or leave the state unmoved, and a
+        # float steps would fail in range: each is refused here, by name
+        if not 0.0 < self.dt < math.inf:
+            raise ArgumentError(f"dt must be positive and finite, got {self.dt}")
+        if not isinstance(self.steps, numbers.Integral) or self.steps < 1:
+            raise ArgumentError(f"steps must be an integer >= 1, got {self.steps!r}")
+        if not 0.0 < self.mass < math.inf:
+            raise ArgumentError(f"mass must be positive and finite, got {self.mass}")
 
 
 def propagate(

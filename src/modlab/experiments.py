@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,13 +51,6 @@ from .records import ExperimentRecord, write_record
 from .rng import GENERATOR_NAME, counter_uniform
 from .scattering import FluxParam, ScatterConfig, _checked_kr, _psi
 from .states import PacketSpec, SlitArraySpec, make_grating, make_packet
-
-
-def _record(name: str, params_echo: dict, seed: int, columns: dict,
-            summary: dict) -> ExperimentRecord:
-    """The one place a record is built: provenance stamped."""
-    provenance = f"modlab {__version__} seed={seed} rng={GENERATOR_NAME}"
-    return ExperimentRecord(name, params_echo, columns, provenance, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +232,21 @@ def sample_detections(
 # experiment cores (also the public library surface for the named experiments)
 
 
+class ExperimentResult(NamedTuple):
+    """A core's result: 1-D array columns of one length and scalar summary
+    values. `run` makes the record from it, adding parameters and provenance."""
+
+    columns: dict[str, np.ndarray]
+    summary: dict[str, float]
+
+
 def uncertainty_experiment(
     L: float,
     widths: list[float],
     grid: Grid,
     bins: int = 32,
     k_max: int = 4,
-    seed: int = 0,
-) -> ExperimentRecord:
+) -> ExperimentResult:
     """Localization makes the folded momentum distribution uniform.
 
     For each width, builds a single bump packet (a which-path-detected state),
@@ -267,12 +267,8 @@ def uncertainty_experiment(
             cols[f"c{k}"].append(abs(md.fourier[k - 1]))
         cols["tv_uniform"].append(md.tv_from_uniform())
         cols["c1_two_slit"].append(abs(translation_expect(two, L)))
-    return _record(
-        "uncertainty",
-        {"L": L, "widths": widths, "bins": bins, "k_max": k_max,
-         "n": grid.n, "length": grid.length, "hbar": grid.hbar},
-        seed, cols, {"bin_quadrature_bound": 1.0 / (2.0 * bins)},
-    )
+    return ExperimentResult({k: np.asarray(v) for k, v in cols.items()},
+                            {"bin_quadrature_bound": 1.0 / (2.0 * bins)})
 
 
 def classical_limit_experiment(
@@ -281,8 +277,7 @@ def classical_limit_experiment(
     packet: PacketSpec,
     grid: Grid,
     bins: int = 32,
-    seed: int = 0,
-) -> ExperimentRecord:
+) -> ExperimentResult:
     """Folded-distribution flattening as the modular cell h/L shrinks.
 
     The momentum density is built once on the grid and held fixed while the
@@ -309,12 +304,8 @@ def classical_limit_experiment(
             )
         cells.append(cell)
         tvs.append(tv_from_uniform(fold_density(grid.p, weights, cell, bins)))
-    return _record(
-        "classical-limit",
-        {"L": L, "hbar_values": hbar_values, "bins": bins,
-         "kind": packet.kind, "width": packet.width, "p0": packet.p0,
-         "n": grid.n, "length": grid.length, "hbar": grid.hbar},
-        seed, {"hbar": hbar_values, "cell": cells, "tv_uniform": tvs},
+    return ExperimentResult(
+        {"hbar": np.asarray(hbar_values), "cell": np.array(cells), "tv_uniform": np.array(tvs)},
         {"tv_final": tvs[-1], "tv_first": tvs[0]},
     )
 
@@ -326,7 +317,7 @@ def random_walk_experiment(
     n_repeats: int,
     seed: int,
     strict: bool = False,
-) -> ExperimentRecord:
+) -> ExperimentResult:
     """Single-electron detections as a recoil random walk.
 
     Each detected transverse momentum is balanced by an opposite recoil of the
@@ -372,14 +363,8 @@ def random_walk_experiment(
         var_p = float(np.sum(weights * grid.p**2)) - mean_p**2
         predicted = math.sqrt(n_electrons * var_p)
     mod = np.mod(finals, h / grating.spacing)
-    return _record(
-        "random-walk",
-        {"m_slits": grating.m_slits, "spacing": grating.spacing,
-         "width": grating.packet.width, "kind": grating.packet.kind,
-         "n_electrons": n_electrons, "n_repeats": n_repeats,
-         "strict": int(strict), "n": grid.n, "length": grid.length,
-         "hbar": grid.hbar},
-        seed, {"repeat": np.arange(n_repeats), "final_recoil": finals, "recoil_mod": mod},
+    return ExperimentResult(
+        {"repeat": np.arange(n_repeats), "final_recoil": finals, "recoil_mod": mod},
         {"rms_final_recoil": rms, "predicted_rms": predicted,
          "peak_pair_mass": pair_mass, "two_point_regime": float(two_point),
          "exchange_quantum": half_step},
@@ -500,9 +485,8 @@ def _run_eom_check(params: dict, seed: int) -> tuple[dict, dict]:
 })
 def _run_uncertainty(params: dict, seed: int) -> tuple[dict, dict]:
     grid = _grid_from(params)
-    rec = uncertainty_experiment(params["spacing"], params["widths"], grid,
-                                 bins=params["bins"], k_max=params["k_max"], seed=seed)
-    return rec.columns, rec.summary
+    return uncertainty_experiment(params["spacing"], params["widths"], grid,
+                                  bins=params["bins"], k_max=params["k_max"])
 
 
 @_experiment("classical-limit", {
@@ -518,9 +502,8 @@ def _run_classical_limit(params: dict, seed: int) -> tuple[dict, dict]:
     grid = make_grid(params["n"], -params["length"] / 2.0, params["length"],
                      params["hbar_values"][0])
     packet = PacketSpec(kind="gaussian", center=0.0, width=params["width"], p0=params["p0"])
-    rec = classical_limit_experiment(params["spacing"], params["hbar_values"],
-                                     packet, grid, bins=params["bins"], seed=seed)
-    return rec.columns, rec.summary
+    return classical_limit_experiment(params["spacing"], params["hbar_values"],
+                                      packet, grid, bins=params["bins"])
 
 
 @_experiment("two-particle", {
@@ -592,9 +575,8 @@ def _run_random_walk(params: dict, seed: int) -> tuple[dict, dict]:
     m = params["m_slits"]
     spec = _centered_array(m, params["spacing"], params["kind"], params["width"],
                            tuple((math.pi if s % 2 else 0.0) for s in range(m)))
-    rec = random_walk_experiment(spec, grid, params["n_electrons"],
-                                 params["n_repeats"], seed, strict=bool(params["strict"]))
-    return rec.columns, rec.summary
+    return random_walk_experiment(spec, grid, params["n_electrons"],
+                                  params["n_repeats"], seed, strict=bool(params["strict"]))
 
 
 @_experiment("taylor-demo", {
@@ -651,7 +633,8 @@ def run(
         raise ArgumentError(f"{config.name}: {e}; a value is out of floating-point range") from e
     except MemoryError as e:
         raise ArgumentError(f"{config.name}: not enough memory; a size is out of range") from e
-    record = _record(config.name, params, config.seed, columns, summary)
+    provenance = f"modlab {__version__} seed={config.seed} rng={GENERATOR_NAME}"
+    record = ExperimentRecord(config.name, params, columns, provenance, summary)
     for key, value in (*record.columns.items(), *record.summary.items()):
         if not np.all(np.isfinite(value)):
             raise ArgumentError(f"{config.name}: {key} is out of floating-point range")

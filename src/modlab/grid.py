@@ -11,6 +11,7 @@ so Parseval holds to machine precision on power-of-two grids.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -42,7 +43,8 @@ class Grid:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.n < 8 or (self.n & (self.n - 1)) != 0:
+        # a float n is refused before `&`, which would raise TypeError
+        if not isinstance(self.n, numbers.Integral) or self.n < 8 or self.n & (self.n - 1):
             raise NonPowerOfTwo(f"n must be a power of two >= 8, got {self.n}")
         # dx and dp can underflow to 0 or overflow to inf for extreme values
         if not (self.length > 0.0 and self.hbar > 0.0 and self.dx > 0.0

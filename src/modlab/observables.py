@@ -262,8 +262,8 @@ def taylor_divergence_demo(psi: WaveFunction, L: float, orders: int = 40) -> np.
         term = coef * moment
         if not (np.isfinite(term.real) and np.isfinite(term.imag)):
             warnings.warn(
-                f"moment of order {j} exceeds the representable range; "
-                f"returning {j} partial sums",
+                f"the term (iL/hbar)^{j} <p^{j}> / {j}! exceeds the representable "
+                f"range; returning {j} partial sums",
                 DegreeOverflowWarning,
                 stacklevel=2,
             )

@@ -108,8 +108,8 @@ def eom_identity_residual(
     at a time in two block buffers, each block's max|c| folded into a running
     maximum, with the same products and elementwise steps as the whole matrix.
     """
-    if not mass > 0.0:
-        raise ArgumentError(f"mass must be > 0, got {mass}")
+    if not 0.0 < mass < math.inf:  # an inf mass would drop the kinetic term
+        raise ArgumentError(f"mass must be positive and finite, got {mass}")
     m = lattice_steps(grid, L)
     _check_dim(grid)
     v = V.values(grid)

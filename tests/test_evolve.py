@@ -24,6 +24,7 @@ from modlab import (
     translation_expect_two,
 )
 from modlab.errors import (
+    ArgumentError,
     GridMismatch,
     NonFiniteAmplitude,
     OffLatticeL,
@@ -111,6 +112,20 @@ def test_free_evolution_preserves_modular_coefficients():
     after = [translation_expect(snaps[-1], L, k) for k in (1, 2, 3)]
     for b, a in zip(before, after):
         assert abs(a - b) < 1e-12
+
+
+@pytest.mark.parametrize("bad, fragment", [
+    ({"dt": math.inf}, "dt must be positive and finite"),
+    ({"mass": math.inf}, "mass must be positive and finite"),
+    ({"steps": 600.0}, "steps must be an integer"),
+    ({"steps": 2.5}, "steps must be an integer"),
+], ids=["dt-inf", "mass-inf", "steps-600.0", "steps-2.5"])
+def test_propagator_config_refuses_a_bad_value(bad, fragment):
+    # refused by name on construction, before any stepping arithmetic
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError, match=fragment):
+            PropagatorConfig(**{"dt": 0.005, "steps": 600, **bad})
 
 
 def test_phase_wrap_warning():

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modlab import ExperimentConfig, run
+from modlab import ExperimentConfig, run, write_record
 
 GOLDEN = Path(__file__).parent / "golden"
 SEED = 7
@@ -94,6 +94,21 @@ def test_record_matches_golden(name, tmp_path, record_property):
     if not identical:
         warnings.warn(f"{name}: record agrees with its golden within tolerance "
                       "but is not byte-identical")
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_json_record_holds_the_csv_values(name, tmp_path):
+    # one run written in both formats, each printing every number with 17
+    # significant digits
+    config = ExperimentConfig(name, dict(CONFIGS[name]), SEED, str(tmp_path), "json")
+    rec, path = run(config, with_path=True)
+    record = json.loads(path.read_text(encoding="utf-8"))
+    csv_text = write_record(rec, tmp_path, "csv", SEED).read_text(encoding="utf-8")
+    _, summary, names, values = _parse(csv_text)
+    assert record["summary"] == summary
+    assert list(record["columns"]) == names
+    columns = np.array(list(record["columns"].values()), dtype=float)
+    assert np.array_equal(columns.T.reshape(values.shape), values)
 
 
 # A fresh interpreter in which importing scipy fails runs every CI config

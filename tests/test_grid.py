@@ -46,6 +46,10 @@ def test_make_grid_rejects_bad_n():
         make_grid(4, 0.0, 8.0)
 
 
+def test_make_grid_accepts_a_numpy_integer_n():
+    assert make_grid(np.int64(16), 0.0, 8.0).p.shape == (16,)
+
+
 def test_make_grid_rejects_bad_domain():
     with pytest.raises(NonPositiveDomain):
         make_grid(8, 0.0, 0.0)

@@ -30,6 +30,7 @@ from modlab.errors import (
     GridMismatch,
     IoFailure,
     ModlabError,
+    NonPowerOfTwo,
     NoPeaks,
     ZeroState,
 )
@@ -63,6 +64,10 @@ _GUARDS = {
         ArgumentError, "kind must be one of", lambda tmp: PotentialSpec(kind="cubic")),
     "potential-sampled-without-samples": (
         ArgumentError, "needs samples", lambda tmp: PotentialSpec(kind="sampled")),
+    "grid-float-n": (
+        NonPowerOfTwo, "n must be a power of two", lambda tmp: make_grid(16.0, 0.0, 8.0)),
+    "grid-fractional-n": (
+        NonPowerOfTwo, "n must be a power of two", lambda tmp: make_grid(8.5, 0.0, 8.0)),
     "product-state-grids-differ": (
         GridMismatch, "different grids",
         lambda tmp: product_state(_packet(_grid()), _packet(_grid(24.0)))),

@@ -31,6 +31,7 @@ from modlab import _fft, observables
 from modlab.errors import (
     ArgumentError,
     DegreeCap,
+    DegreeOverflowWarning,
     GridMismatch,
     InternalInconsistency,
     NonUniformSampling,
@@ -449,6 +450,18 @@ def test_taylor_series_converges_for_analytic_state():
     exact = translation_expect(psi, L)
     sums = taylor_divergence_demo(psi, L, orders=40)
     assert abs(sums[-1] - exact) < 1e-6
+
+
+def test_taylor_warns_where_a_term_overflows():
+    # every moment <p^j> is finite here; the term (iL/hbar)^j <p^j> / j! is
+    # past the float range from j = 33 on
+    g = make_grid(2048, -5e-3, 1e-2)
+    psi = make_packet(g, PacketSpec("gaussian", 0.0, 2e-4, 3e5))
+    with pytest.warns(DegreeOverflowWarning, match=r"\(iL/hbar\)\^33 <p\^33> / 33!") as caught:
+        sums = taylor_divergence_demo(psi, 1e5, orders=40)
+    assert len(caught) == 1
+    assert len(sums) == 33
+    assert np.all(np.isfinite(sums))
 
 
 def test_taylor_orders_cap():

@@ -217,7 +217,7 @@ def test_eom_identity_guards():
         eom_identity_residual(big, PotentialSpec.zero(), big.dx)
 
 
-@pytest.mark.parametrize("mass", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("mass", [0.0, -1.0, math.nan, math.inf])
 def test_eom_identity_refuses_a_non_positive_mass(mass):
     g = small_grid(64, 16.0)
     with warnings.catch_warnings():
