@@ -184,8 +184,9 @@ def _strang(
     `PHASE_WRAP_PROBABILITY` of its probability, measured in the basis it
     steps in, on lattice momenta whose phase per step is at least pi.
     """
-    if every < 1 or cfg.steps % every != 0:
-        raise ArgumentError("steps must be a multiple of snapshot_every >= 1")
+    if not isinstance(every, numbers.Integral) or every < 1 or cfg.steps % every != 0:
+        raise ArgumentError(
+            f"snapshot_every must be an integer >= 1 dividing steps = {cfg.steps}, got {every!r}")
     _check_finite(state.amps)
     g = state.grid
     p2 = g.p_raw**2

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -220,8 +221,8 @@ def sample_detections(
     execution order; recoil_cumulative is the negated running sum (momentum
     bookkeeping: detected momentum plus recoil is exactly zero).
     """
-    if n_trials < 1:
-        raise ArgumentError(f"n_trials must be >= 1, got {n_trials}")
+    if not isinstance(n_trials, numbers.Integral) or n_trials < 1:
+        raise ArgumentError(f"n_trials must be an integer >= 1, got {n_trials!r}")
     cdf = _lattice_cdf(dens)
     ps = _sample_lattice_p(dens, cdf, seed, np.arange(n_trials, dtype=np.uint64))
     recoil = -np.cumsum(ps)
@@ -254,6 +255,8 @@ def uncertainty_experiment(
     folded distribution from uniform, plus the contrast value |c_1| of the
     two-branch state built from the same packet.
     """
+    if not isinstance(k_max, numbers.Integral) or k_max < 0:
+        raise ArgumentError(f"k_max must be an integer >= 0, got {k_max!r}")
     cols: dict[str, list] = {
         "width": [], "tv_uniform": [], "c1_two_slit": [],
         **{f"c{k}": [] for k in range(1, k_max + 1)},
@@ -288,6 +291,8 @@ def classical_limit_experiment(
         raise ArgumentError(f"L must be positive and finite, got {L}")
     if not hbar_values:
         raise ArgumentError("hbar_values needs at least one value")
+    if not isinstance(bins, numbers.Integral) or bins < 1:
+        raise ArgumentError(f"bins must be an integer >= 1, got {bins!r}")
     if any(h <= 0.0 for h in hbar_values):
         raise ArgumentError("hbar values must be positive")
     if any(b >= a for a, b in zip(hbar_values, hbar_values[1:])):
@@ -329,10 +334,10 @@ def random_walk_experiment(
     Trial r * n_electrons + e is electron e of repeat r; draws are summed by
     blocks of whole repeats, so memory stays O(max(_DRAW_CHUNK, n_electrons)).
     """
-    if n_repeats < 100:
-        raise ArgumentError(f"n_repeats must be >= 100, got {n_repeats}")
-    if n_electrons < 1:
-        raise ArgumentError(f"n_electrons must be >= 1, got {n_electrons}")
+    if not isinstance(n_repeats, numbers.Integral) or n_repeats < 100:
+        raise ArgumentError(f"n_repeats must be >= 100 and an integer, got {n_repeats!r}")
+    if not isinstance(n_electrons, numbers.Integral) or n_electrons < 1:
+        raise ArgumentError(f"n_electrons must be an integer >= 1, got {n_electrons!r}")
     psi = make_grating(grid, grating)
     far = free_far_field(psi)
     h = 2.0 * math.pi * grid.hbar

@@ -12,6 +12,7 @@ the two routes must agree or the operation refuses the result.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -49,8 +50,9 @@ class MomentSpec:
     m_p: int
 
     def __post_init__(self):
-        if self.n_x < 0 or self.m_p < 0:
-            raise DegreeCap("degrees must be non-negative")
+        if not all(isinstance(d, numbers.Integral) and d >= 0 for d in (self.n_x, self.m_p)):
+            raise DegreeCap(
+                f"degrees must be non-negative integers, got {self.n_x!r}, {self.m_p!r}")
         if self.n_x + self.m_p > 6:
             raise DegreeCap(f"total degree {self.n_x + self.m_p} exceeds the cap of 6")
 
@@ -113,8 +115,10 @@ def tv_from_uniform(density: np.ndarray) -> float:
 def modular_distribution(
     psi: WaveFunction, L: float, bins: int = 32, k_max: int = 4
 ) -> ModularDistribution:
-    if bins < 8:
-        raise ArgumentError(f"bins must be >= 8, got {bins}")
+    if not isinstance(bins, numbers.Integral) or bins < 8:
+        raise ArgumentError(f"bins must be an integer >= 8, got {bins!r}")
+    if not isinstance(k_max, numbers.Integral) or k_max < 0:
+        raise ArgumentError(f"k_max must be an integer >= 0, got {k_max!r}")
     g = psi.grid
     period = 2.0 * math.pi * g.hbar / L if L else math.inf
     if not 0.0 < period < math.inf:  # L <= 0, NaN or inf
@@ -248,8 +252,10 @@ def taylor_divergence_demo(psi: WaveFunction, L: float, orders: int = 40) -> np.
     converges to it. Terms past the representable range are reported via
     DegreeOverflowWarning and the sums truncated there.
     """
-    if orders > 40:
-        raise DegreeCap(f"orders capped at 40, got {orders}")
+    if not isinstance(orders, numbers.Integral) or not 0 <= orders <= 40:
+        raise DegreeCap(f"orders must be an integer from 0 to 40, got {orders!r}")
+    if not math.isfinite(L):
+        raise ArgumentError(f"L must be finite, got {L}")
     g = psi.grid
     weights = to_momentum(psi).density() * g.dp
     sums = []

@@ -15,6 +15,7 @@ momentum coordinates of two subsystems with conserved total momentum.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,8 +204,8 @@ def ellipse_check(P_total: float, L: float, hbar: float, samples: int = 64) -> f
     momentum forces a matching change in the other. Returns the max residual
     over a sweep of p1, which is pure roundoff.
     """
-    if samples < 16:
-        raise ArgumentError(f"samples must be >= 16, got {samples}")
+    if not isinstance(samples, numbers.Integral) or samples < 16:
+        raise ArgumentError(f"samples must be >= 16 and an integer, got {samples!r}")
     if not (math.isfinite(P_total) and 0.0 < L < math.inf and 0.0 < hbar < math.inf):
         raise ArgumentError(
             f"need finite P_total and finite L, hbar > 0; got P_total={P_total} L={L} hbar={hbar}"

@@ -7,7 +7,11 @@ order or parallel split. Vectorizes over trial indices.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
+
+from .errors import ArgumentError
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -18,6 +22,8 @@ GENERATOR_NAME = "splitmix64"
 
 def counter_uniform(seed: int, trials: np.ndarray | int) -> np.ndarray | float:
     """Uniforms in [0, 1) keyed by (seed, trial); trial may be a uint64 array."""
+    if not isinstance(seed, numbers.Integral):
+        raise ArgumentError(f"seed must be an integer, got {seed!r}")
     scalar = np.isscalar(trials)
     t = np.atleast_1d(np.asarray(trials, dtype=np.uint64))
     z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN * (t + np.uint64(1))

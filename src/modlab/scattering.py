@@ -21,6 +21,7 @@ standard library.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -127,8 +128,9 @@ class ScatterConfig:
 
     def __post_init__(self):
         n_floor = math.ceil(_checked_kr(self.k, self.r)) + 24
-        if self.n_max < n_floor:
-            raise ArgumentError(f"n_max must be >= ceil(k*r) + 24 = {n_floor}")
+        if not isinstance(self.n_max, numbers.Integral) or self.n_max < n_floor:
+            raise ArgumentError(
+                f"n_max must be an integer >= ceil(k*r) + 24 = {n_floor}, got {self.n_max!r}")
 
 
 class PartialWave(NamedTuple):

@@ -9,10 +9,13 @@ import pytest
 from modlab import (
     ClassicalState,
     ExperimentRecord,
+    MomentSpec,
     MomentumAmplitudes,
     OperatorMatrix,
     PacketSpec,
     PotentialSpec,
+    PropagatorConfig,
+    ScatterConfig,
     SlitArraySpec,
     WaveFunction,
     classical_limit_experiment,
@@ -20,13 +23,22 @@ from modlab import (
     fringe_peaks,
     make_grid,
     make_packet,
+    modular_distribution,
     product_state,
+    propagate,
     random_walk_experiment,
+    sample_detections,
     superpose,
+    taylor_divergence_demo,
+    to_momentum,
+    uncertainty_experiment,
+    weyl_matrix,
+    weyl_moment,
     write_record,
 )
 from modlab.errors import (
     ArgumentError,
+    DegreeCap,
     GridMismatch,
     IoFailure,
     ModlabError,
@@ -46,6 +58,11 @@ def _packet(grid):
 
 
 _BUMP = PacketSpec("bump", -1.0, 0.5)
+_PAIR = SlitArraySpec(2, 4.0, PacketSpec("bump", -2.0, 1.0), (0.0, 0.0))
+
+
+def _far_field():
+    return to_momentum(_packet(_grid()))
 
 
 def _record(**columns):
@@ -75,10 +92,76 @@ _GUARDS = {
         ArgumentError, "must be positive",
         lambda tmp: classical_limit_experiment(1.0, [0.5, 0.0], PacketSpec("gaussian", 0.0, 1.0),
                                                _grid())),
+    "classical-limit-fractional-bins": (
+        ArgumentError, "bins must be an integer",
+        lambda tmp: classical_limit_experiment(1.0, [2.0], PacketSpec("gaussian", 0.0, 1.0),
+                                               _grid(), bins=8.5)),
     "random-walk-few-repeats": (
         ArgumentError, "n_repeats must be >= 100",
         lambda tmp: random_walk_experiment(SlitArraySpec(2, 2.0, _BUMP, (0.0, 0.0)),
                                            _grid(), 10, 99, 0)),
+    "random-walk-fractional-electrons": (
+        ArgumentError, "n_electrons must be an integer",
+        lambda tmp: random_walk_experiment(_PAIR, _grid(), 2.5, 100, 0)),
+    "random-walk-fractional-repeats": (
+        ArgumentError, "n_repeats must be >= 100 and an integer",
+        lambda tmp: random_walk_experiment(_PAIR, _grid(), 10, 100.5, 0)),
+    "random-walk-fractional-seed": (
+        ArgumentError, "seed must be an integer",
+        lambda tmp: random_walk_experiment(_PAIR, _grid(), 10, 100, 1.5)),
+    "propagate-fractional-snapshot-every": (
+        ArgumentError, "snapshot_every must be an integer",
+        lambda tmp: propagate(_packet(_grid()), PotentialSpec.zero(), PropagatorConfig(0.01, 10),
+                              snapshot_every=2.5)),
+    "sample-detections-fractional-trials": (
+        ArgumentError, "n_trials must be an integer",
+        lambda tmp: sample_detections(_far_field(), 2.5, 0)),
+    "sample-detections-fractional-seed": (
+        ArgumentError, "seed must be an integer",
+        lambda tmp: sample_detections(_far_field(), 10, 1.5)),
+    "modular-distribution-seven-bins": (
+        ArgumentError, "bins must be",
+        lambda tmp: modular_distribution(_packet(_grid()), 2.0, bins=7)),
+    "modular-distribution-fractional-bins": (
+        ArgumentError, "bins must be an integer",
+        lambda tmp: modular_distribution(_packet(_grid()), 2.0, bins=8.5)),
+    "modular-distribution-fractional-k-max": (
+        ArgumentError, "k_max must be an integer",
+        lambda tmp: modular_distribution(_packet(_grid()), 2.0, k_max=2.5)),
+    "modular-distribution-negative-k-max": (
+        ArgumentError, "k_max must be an integer >= 0",
+        lambda tmp: modular_distribution(_packet(_grid()), 2.0, k_max=-1)),
+    "uncertainty-fractional-bins": (
+        ArgumentError, "bins must be an integer",
+        lambda tmp: uncertainty_experiment(2.0, [1.0], _grid(), bins=8.5)),
+    "uncertainty-fractional-k-max": (
+        ArgumentError, "k_max must be an integer",
+        lambda tmp: uncertainty_experiment(2.0, [1.0], _grid(), k_max=2.5)),
+    # refused before the first width, not only by modular_distribution on it
+    "uncertainty-negative-k-max": (
+        ArgumentError, "k_max must be an integer >= 0",
+        lambda tmp: uncertainty_experiment(2.0, [], _grid(), k_max=-1)),
+    "taylor-fractional-orders": (
+        DegreeCap, "orders must be an integer",
+        lambda tmp: taylor_divergence_demo(_packet(_grid()), 0.5, 2.5)),
+    "taylor-negative-orders": (
+        DegreeCap, "orders must be an integer",
+        lambda tmp: taylor_divergence_demo(_packet(_grid()), 0.5, -1)),
+    "taylor-nan-length": (
+        ArgumentError, "L must be finite",
+        lambda tmp: taylor_divergence_demo(_packet(_grid()), math.nan)),
+    "taylor-inf-length": (
+        ArgumentError, "L must be finite",
+        lambda tmp: taylor_divergence_demo(_packet(_grid()), math.inf)),
+    "weyl-moment-fractional-degree": (
+        DegreeCap, "degrees must be non-negative integers",
+        lambda tmp: weyl_moment(_packet(_grid()), MomentSpec(1.5, 1))),
+    "weyl-matrix-fractional-degree": (
+        DegreeCap, "degrees must be non-negative integers",
+        lambda tmp: weyl_matrix(_grid(), 1.5, 1)),
+    "scatter-config-fractional-n-max": (
+        ArgumentError, "n_max must be an integer",
+        lambda tmp: ScatterConfig(1.0, 10.0, (0.0,), 64.5)),
     "amplitudes-wrong-shape": (
         GridMismatch, "expected shape", lambda tmp: WaveFunction(_grid(), np.ones(32))),
     "fringe-peaks-zero-density": (
@@ -96,6 +179,9 @@ _GUARDS = {
         lambda tmp: _classical_force(PotentialSpec.sampled(np.zeros(128)), 0.0, None)),
     "ellipse-check-few-samples": (
         ArgumentError, "samples must be >= 16", lambda tmp: ellipse_check(1.0, 1.0, 1.0, 15)),
+    "ellipse-check-fractional-samples": (
+        ArgumentError, "samples must be >= 16 and an integer",
+        lambda tmp: ellipse_check(1.0, 2.0, 1.0, samples=16.5)),
     "write-record-unknown-format": (
         ArgumentError, "format must be csv or json",
         lambda tmp: write_record(_record(x=[1.0]), tmp, "yaml", 0)),
@@ -130,3 +216,19 @@ def test_guard_refuses(case, tmp_path):
     with pytest.raises(error, match=fragment) as info:
         call(tmp_path)
     assert isinstance(info.value, ModlabError)
+
+
+def test_counts_accept_numpy_integers():
+    g = _grid()
+    psi = _packet(g)
+    snaps = propagate(psi, PotentialSpec.zero(), PropagatorConfig(0.01, 10),
+                      snapshot_every=np.int64(5))
+    assert len(snaps) == 3
+    samples = sample_detections(_far_field(), np.int64(4), np.uint64(7))
+    assert samples == sample_detections(_far_field(), 4, 7)
+    md = modular_distribution(psi, 2.0, bins=np.int32(8), k_max=np.int64(2))
+    assert md.bins == 8 and len(md.fourier) == 2
+    assert len(taylor_divergence_demo(psi, 0.5, np.int64(3))) == 4
+    assert weyl_moment(psi, MomentSpec(np.int64(2), np.int64(0))) > 0.0
+    assert ellipse_check(1.0, 2.0, 1.0, samples=np.int64(16)) < 1e-12
+    ScatterConfig(1.0, 10.0, (0.0,), np.int64(64))

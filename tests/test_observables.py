@@ -185,6 +185,12 @@ def test_modular_distribution_under_resolved():
         modular_distribution(two_bumps(g), 8.0, bins=4)
 
 
+def test_modular_distribution_accepts_eight_bins():
+    md = modular_distribution(two_bumps(grid_for_bumps()), 8.0, bins=8)
+    assert md.bins == 8 and md.density.shape == (8,)
+    assert abs(np.sum(md.density) - 1.0) < 1e-12
+
+
 @pytest.mark.parametrize("L", [math.nan, 0.0, -8.0])
 def test_modular_distribution_refuses_a_non_finite_period(L):
     psi = two_bumps(grid_for_bumps())
