@@ -87,8 +87,6 @@ def main(argv: list[str] | None = None) -> int:
         print_schemas()
         return EXIT_OK
     try:
-        if args.seed < 0 or args.seed >= 2**64:
-            raise SchemaViolation("seed must fit an unsigned 64-bit integer")
         raw = read_config(args.config) if args.config else {}
         config = ExperimentConfig(
             name=args.experiment,

@@ -348,7 +348,12 @@ def translation_expect_two(
     state: TwoParticleState, L: float, k1: int = 1, k2: int = 1
 ) -> complex:
     """<exp(i (k1 p1 + k2 p2) L / hbar)> from the joint momentum density,
-    the 2-D transform taken over axis 0, then axis -1."""
+    the 2-D transform taken over axis 0, then axis -1. k1 and k2 are integers
+    of any sign."""
+    if not (isinstance(k1, numbers.Integral) and isinstance(k2, numbers.Integral)):
+        raise ArgumentError(f"k1 and k2 must be integers, got {k1!r}, {k2!r}")
+    if not math.isfinite(L):
+        raise ArgumentError(f"L must be finite, got {L}")
     grid = state.grid
     weights = np.abs(_fft.fft(_fft.fft(state.amps, axis=0))) ** 2
     density = weights / np.sum(weights)

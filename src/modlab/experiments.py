@@ -49,7 +49,7 @@ from .observables import (
     tv_from_uniform,
 )
 from .records import ExperimentRecord, write_record
-from .rng import GENERATOR_NAME, counter_uniform
+from .rng import GENERATOR_NAME, check_seed, counter_uniform
 from .scattering import FluxParam, ScatterConfig, _checked_kr, _psi
 from .states import PacketSpec, SlitArraySpec, make_grating, make_packet
 
@@ -221,6 +221,7 @@ def sample_detections(
     execution order; recoil_cumulative is the negated running sum (momentum
     bookkeeping: detected momentum plus recoil is exactly zero).
     """
+    check_seed(seed)
     if not isinstance(n_trials, numbers.Integral) or n_trials < 1:
         raise ArgumentError(f"n_trials must be an integer >= 1, got {n_trials!r}")
     cdf = _lattice_cdf(dens)
@@ -257,6 +258,8 @@ def uncertainty_experiment(
     """
     if not isinstance(k_max, numbers.Integral) or k_max < 0:
         raise ArgumentError(f"k_max must be an integer >= 0, got {k_max!r}")
+    if len(widths) == 0:
+        raise ArgumentError("widths needs at least one value")
     cols: dict[str, list] = {
         "width": [], "tv_uniform": [], "c1_two_slit": [],
         **{f"c{k}": [] for k in range(1, k_max + 1)},
@@ -334,6 +337,7 @@ def random_walk_experiment(
     Trial r * n_electrons + e is electron e of repeat r; draws are summed by
     blocks of whole repeats, so memory stays O(max(_DRAW_CHUNK, n_electrons)).
     """
+    check_seed(seed)
     if not isinstance(n_repeats, numbers.Integral) or n_repeats < 100:
         raise ArgumentError(f"n_repeats must be >= 100 and an integer, got {n_repeats!r}")
     if not isinstance(n_electrons, numbers.Integral) or n_electrons < 1:
@@ -529,8 +533,10 @@ def _run_two_particle(params: dict, seed: int) -> tuple[dict, dict]:
     a = params["separation"] / 2.0
     psi1 = make_packet(grid, PacketSpec("gaussian", -a, params["sigma"], params["p_approach"]))
     psi2 = make_packet(grid, PacketSpec("gaussian", +a, params["sigma"], -params["p_approach"]))
-    well = PotentialSpec.sampled(-params["well_depth"]
-                                 * np.exp(-grid.x**2 / (2.0 * params["well_width"] ** 2)))
+    # the complex exp: numpy's float exp rounds differently under its AVX-512
+    # and AVX2 loops, and the record must not depend on that
+    arg = -grid.x**2 / (2.0 * params["well_width"] ** 2)
+    well = PotentialSpec.sampled(-params["well_depth"] * np.exp(arg + 0j).real)
     _two_particle_potential(grid, well)  # the grid cap, before any n x n array
     state = product_state(psi1, psi2)
     cfg = PropagatorConfig(dt=params["dt"], steps=params["steps"], mass=params["mass"])
@@ -629,7 +635,9 @@ def run(
     """Validate, dispatch, write the output file, and return the record, or
     with `with_path` the pair (record, path of the file written). Arithmetic
     that overflows, divides by zero or yields NaN, and a record holding a
-    non-finite value, raise ArgumentError; so does a run that runs out of memory."""
+    non-finite value, raise ArgumentError; so does a run that runs out of memory,
+    and a seed outside the rule of `rng.check_seed`."""
+    check_seed(config.seed)
     params = validate_params(config.name, config.params)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):

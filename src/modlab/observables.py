@@ -79,8 +79,8 @@ def translation_expect(psi: WaveFunction, L: float, k: int = 1) -> complex:
     over the momentum density; disagreement beyond 1e-11 * max(1, ||psi||^2)
     signals grid artifacts and raises InternalInconsistency.
     """
-    if k < 1:
-        raise ArgumentError(f"k must be >= 1, got {k}")
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ArgumentError(f"k must be an integer >= 1, got {k!r}")
     g = psi.grid
     pos_val = inner(psi, translate(psi, k * L))
     weights = to_momentum(psi).density() * g.dp
@@ -102,6 +102,10 @@ def fold_density(p: np.ndarray, weights: np.ndarray, period: float, bins: int) -
     boundary up to roundoff are assigned to the upper bin consistently (the
     1e-9 nudge is far above mod-roundoff and far below any site separation).
     """
+    if not 0.0 < period < math.inf:  # NaN fails too
+        raise ArgumentError(f"period must be positive and finite, got {period}")
+    if not isinstance(bins, numbers.Integral) or bins < 1:
+        raise ArgumentError(f"bins must be an integer >= 1, got {bins!r}")
     rel = np.mod(p, period) / period
     idx = np.floor(rel * bins + 1e-9).astype(int) % bins
     return np.bincount(idx, weights=weights, minlength=bins)
@@ -197,25 +201,18 @@ def eom_residual(
     g = snapshots[0].grid
     if any(wf.grid is not g and wf.grid != g for wf in snapshots):
         raise GridMismatch("snapshots live on different grids")
-    n, dx = g.n, g.dx
-    m = lattice_steps(g, L) % n
+    m = lattice_steps(g, L) % g.n
     v = V.values(g)
     dv = v - np.roll(v, -m)  # V(x) - V(x + L)
 
-    # each snapshot's two overlaps, as `inner` takes them, on two reused rows
+    # each snapshot's two overlaps, as `inner` takes them
     t_vals = np.empty(len(snapshots), dtype=complex)
     rhs = np.empty(len(snapshots), dtype=complex)
-    shifted = np.empty(n, dtype=complex)  # psi(x + L): the index roll `translate` makes
-    weighted = np.empty(n, dtype=complex)  # (V(x) - V(x + L)) psi(x + L)
     for i, wf in enumerate(snapshots):
         a = wf.amps
-        shifted[:n - m] = a[m:]
-        shifted[n - m:] = a[:m]
-        np.multiply(dv, shifted, out=weighted)
-        t_vals[i] = np.vdot(a, shifted)
-        rhs[i] = np.vdot(a, weighted)
-    t_vals *= dx
-    rhs *= dx
+        shifted = np.concatenate((a[m:], a[:m]))  # psi(x + L): the index roll `translate` makes
+        t_vals[i] = np.vdot(a, shifted) * g.dx
+        rhs[i] = np.vdot(a, dv * shifted) * g.dx
     rhs *= 1j / g.hbar
     deriv = (t_vals[2:] - t_vals[:-2]) / (2.0 * dt)
     return np.abs(deriv - rhs[1:-1])
@@ -264,7 +261,9 @@ def taylor_divergence_demo(psi: WaveFunction, L: float, orders: int = 40) -> np.
     for j in range(orders + 1):
         if j > 0:
             coef *= 1j * L / (g.hbar * j)
-        moment = float(np.sum(weights * g.p**j))
+        # _power, not **: numpy's float pow rounds differently under its
+        # AVX-512 and AVX2 loops, and the record must not depend on that
+        moment = float(np.sum(weights * _power(g.p, j)))
         term = coef * moment
         if not (np.isfinite(term.real) and np.isfinite(term.imag)):
             warnings.warn(

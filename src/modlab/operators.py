@@ -91,6 +91,8 @@ def build_p(grid: Grid) -> OperatorMatrix:
 def build_translation(grid: Grid, L: float) -> OperatorMatrix:
     """exp(i p L / hbar): shifts states by L; an exact circular index-shift
     permutation when L is a lattice multiple."""
+    if not math.isfinite(L):
+        raise ArgumentError(f"L must be finite, got {L}")
     _check_dim(grid)
     return OperatorMatrix(grid.n, _spectral_view(np.exp(1j * grid.p * L / grid.hbar)).copy())
 

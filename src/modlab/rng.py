@@ -20,13 +20,20 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 GENERATOR_NAME = "splitmix64"
 
 
+def check_seed(seed: int) -> None:
+    """The seed rule: an integer from 0 to 2**64 - 1, a Python or a numpy one;
+    anything else, a bool too, raises ArgumentError."""
+    if (not isinstance(seed, numbers.Integral) or isinstance(seed, bool)
+            or not 0 <= int(seed) < 2**64):
+        raise ArgumentError(f"seed must be an integer from 0 to 2**64 - 1, got {seed!r}")
+
+
 def counter_uniform(seed: int, trials: np.ndarray | int) -> np.ndarray | float:
     """Uniforms in [0, 1) keyed by (seed, trial); trial may be a uint64 array."""
-    if not isinstance(seed, numbers.Integral):
-        raise ArgumentError(f"seed must be an integer, got {seed!r}")
+    check_seed(seed)
     scalar = np.isscalar(trials)
     t = np.atleast_1d(np.asarray(trials, dtype=np.uint64))
-    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN * (t + np.uint64(1))
+    z = np.uint64(seed) + _GOLDEN * (t + np.uint64(1))
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     z = z ^ (z >> np.uint64(31))

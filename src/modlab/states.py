@@ -9,6 +9,7 @@ up to tails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -103,14 +104,17 @@ def _packet_amps(grid: Grid, spec: PacketSpec, center: float) -> np.ndarray:
         # periodize over the domain images so translates wrap consistently
         env = np.zeros(grid.n)
         for r in (-1, 0, 1):
-            env += np.exp(-((x - center + r * grid.length) ** 2) / (4.0 * spec.width**2))
+            # the complex exp: numpy's float exp rounds differently under its
+            # AVX-512 and AVX2 loops, and the records must not depend on that
+            arg = -((x - center + r * grid.length) ** 2) / (4.0 * spec.width**2)
+            env += np.exp(arg + 0j).real
     else:
         # wrapped displacement: compact support survives a periodic layout
         d = np.mod(x - center + grid.length / 2.0, grid.length) - grid.length / 2.0
         u = d / spec.width
         env = np.zeros(grid.n)
         core = np.abs(u) < 1.0
-        env[core] = np.exp(-1.0 / (1.0 - u[core] ** 2))
+        env[core] = np.exp(-1.0 / (1.0 - u[core] ** 2) + 0j).real  # complex exp, as above
     if spec.p0 == 0.0:
         return env.astype(complex)  # exactly env * exp(1j * 0 * x / hbar)
     return env * np.exp(1j * spec.p0 * x / grid.hbar)
@@ -190,6 +194,8 @@ def apply_region_phase(
 ) -> WaveFunction:
     """Multiply amplitudes on [x_lo, x_hi) by exp(i alpha); norm is unchanged."""
     g = psi.grid
+    if not math.isfinite(alpha):
+        raise ArgumentError(f"alpha must be finite, got {alpha}")
     if not (x_lo < x_hi):
         raise BadInterval(f"need x_lo < x_hi, got [{x_lo}, {x_hi})")
     if x_lo < g.x0 or x_hi > g.x0 + g.length:

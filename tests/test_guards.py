@@ -8,6 +8,7 @@ import pytest
 
 from modlab import (
     ClassicalState,
+    ExperimentConfig,
     ExperimentRecord,
     MomentSpec,
     MomentumAmplitudes,
@@ -18,8 +19,11 @@ from modlab import (
     ScatterConfig,
     SlitArraySpec,
     WaveFunction,
+    apply_region_phase,
+    build_translation,
     classical_limit_experiment,
     ellipse_check,
+    fold_density,
     fringe_peaks,
     make_grid,
     make_packet,
@@ -27,10 +31,13 @@ from modlab import (
     product_state,
     propagate,
     random_walk_experiment,
+    run,
     sample_detections,
     superpose,
     taylor_divergence_demo,
     to_momentum,
+    translation_expect,
+    translation_expect_two,
     uncertainty_experiment,
     weyl_matrix,
     weyl_moment,
@@ -73,6 +80,18 @@ def _write_into_a_file(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     write_record(_record(x=[1.0]), blocker, "csv", 0)
+
+
+def _run_with_seed_minus_one(tmp_path):
+    try:
+        run(ExperimentConfig("two-slit", {"alpha": "0"}, -1, str(tmp_path)))
+    finally:
+        assert not any(tmp_path.iterdir()), "a refused run wrote a file"
+
+
+def _pair_state():
+    g = _grid()
+    return product_state(_packet(g), _packet(g))
 
 
 # name -> (error type, message fragment, call taking pytest's tmp_path)
@@ -119,6 +138,45 @@ _GUARDS = {
     "sample-detections-fractional-seed": (
         ArgumentError, "seed must be an integer",
         lambda tmp: sample_detections(_far_field(), 10, 1.5)),
+    "sample-detections-negative-seed": (
+        ArgumentError, "seed must be an integer",
+        lambda tmp: sample_detections(_far_field(), 10, -1)),
+    "sample-detections-seed-past-64-bits": (
+        ArgumentError, "seed must be an integer",
+        lambda tmp: sample_detections(_far_field(), 10, 2**64)),
+    "sample-detections-bool-seed": (
+        ArgumentError, "seed must be an integer",
+        lambda tmp: sample_detections(_far_field(), 10, True)),
+    "run-negative-seed": (ArgumentError, "seed must be an integer", _run_with_seed_minus_one),
+    "translation-expect-fractional-k": (
+        ArgumentError, "k must be an integer",
+        lambda tmp: translation_expect(_packet(_grid()), 1.0, 1.5)),
+    "translation-expect-two-fractional-k1": (
+        ArgumentError, "k1 and k2 must be integers",
+        lambda tmp: translation_expect_two(_pair_state(), 1.0, 1.5, 1)),
+    "translation-expect-two-fractional-k2": (
+        ArgumentError, "k1 and k2 must be integers",
+        lambda tmp: translation_expect_two(_pair_state(), 1.0, 1, 0.5)),
+    "translation-expect-two-nan-length": (
+        ArgumentError, "L must be finite",
+        lambda tmp: translation_expect_two(_pair_state(), math.nan)),
+    "build-translation-nan-length": (
+        ArgumentError, "L must be finite", lambda tmp: build_translation(_grid(), math.nan)),
+    "region-phase-nan-alpha": (
+        ArgumentError, "alpha must be finite",
+        lambda tmp: apply_region_phase(_packet(_grid()), -1.0, 1.0, math.nan)),
+    "fold-density-zero-period": (
+        ArgumentError, "period must be positive and finite",
+        lambda tmp: fold_density(_grid().p, np.ones(128), 0.0, 8)),
+    "fold-density-nan-period": (
+        ArgumentError, "period must be positive and finite",
+        lambda tmp: fold_density(_grid().p, np.ones(128), math.nan, 8)),
+    "fold-density-negative-bins": (
+        ArgumentError, "bins must be an integer >= 1",
+        lambda tmp: fold_density(_grid().p, np.ones(128), 1.0, -1)),
+    "fold-density-fractional-bins": (
+        ArgumentError, "bins must be an integer >= 1",
+        lambda tmp: fold_density(_grid().p, np.ones(128), 1.0, 8.5)),
     "modular-distribution-seven-bins": (
         ArgumentError, "bins must be",
         lambda tmp: modular_distribution(_packet(_grid()), 2.0, bins=7)),
@@ -141,6 +199,9 @@ _GUARDS = {
     "uncertainty-negative-k-max": (
         ArgumentError, "k_max must be an integer >= 0",
         lambda tmp: uncertainty_experiment(2.0, [], _grid(), k_max=-1)),
+    "uncertainty-no-widths": (
+        ArgumentError, "widths needs at least one value",
+        lambda tmp: uncertainty_experiment(2.0, [], _grid())),
     "taylor-fractional-orders": (
         DegreeCap, "orders must be an integer",
         lambda tmp: taylor_divergence_demo(_packet(_grid()), 0.5, 2.5)),
@@ -232,3 +293,11 @@ def test_counts_accept_numpy_integers():
     assert weyl_moment(psi, MomentSpec(np.int64(2), np.int64(0))) > 0.0
     assert ellipse_check(1.0, 2.0, 1.0, samples=np.int64(16)) < 1e-12
     ScatterConfig(1.0, 10.0, (0.0,), np.int64(64))
+
+
+def test_numpy_integer_seeds_draw_as_python_ints():
+    far = _far_field()
+    assert sample_detections(far, 50, np.int64(3)) == sample_detections(far, 50, 3)
+    walks = [random_walk_experiment(_PAIR, _grid(), 10, 100, seed).columns["final_recoil"]
+             for seed in (np.int64(3), 3)]
+    assert np.array_equal(*walks)
