@@ -149,10 +149,11 @@ def weyl_moment(psi: WaveFunction, spec: MomentSpec) -> float:
 
     Pure powers go through the position/momentum densities. Mixed monomials
     apply the symmetrized operator 2^-n sum_k C(n,k) X^k P^m X^(n-k) in
-    factored form (diagonal X powers pointwise, P^m spectrally), which is the
-    same operator the dense matrix engine builds but without the dense
-    product's roundoff; the two agree to the engine's noise floor and are
-    cross-checked in the test suite.
+    factored form (diagonal X powers pointwise, P^m spectrally: one transform
+    of the rows x^k psi, each term summed by Parseval), which is the same
+    operator the dense matrix engine builds but without the dense product's
+    roundoff; the two agree to the engine's noise floor and are cross-checked
+    in the test suite.
     """
     g = psi.grid
     if spec.m_p == 0:
@@ -162,13 +163,15 @@ def weyl_moment(psi: WaveFunction, spec: MomentSpec) -> float:
         return float(np.sum(mom.density() * _power(g.p, spec.m_p)) * g.dp)
     n = spec.n_x
     p_pow = _power(g.p_raw, spec.m_p)
-    x_psi = [psi.amps]  # x^k psi for k = 0..n, by running products
-    for _ in range(n):
-        x_psi.append(g.x * x_psi[-1])
+    rows = np.empty((n + 1, g.n), dtype=complex)  # x^k psi for k = 0..n, by running products
+    rows[0] = psi.amps
+    for k in range(n):
+        np.multiply(g.x, rows[k], out=rows[k + 1])
+    F = _fft.fft(rows, axis=-1, overwrite=True)
     acc = 0.0  # P^m is hermitian, so term n - k is the conjugate of term k
     for k in range(n // 2 + 1):
-        phi = _fft.ifft(p_pow * _fft.fft(x_psi[n - k]))
-        term = math.comb(n, k) * np.vdot(x_psi[k], phi).real * g.dx
+        # Parseval: <x^k psi, P^m x^(n-k) psi> = <F_k, p^m F_(n-k)> / N
+        term = math.comb(n, k) * np.vdot(F[k], p_pow * F[n - k]).real * g.dx / g.n
         acc += term if 2 * k == n else 2.0 * term
     return acc / 2.0**n
 
@@ -258,12 +261,14 @@ def taylor_divergence_demo(psi: WaveFunction, L: float, orders: int = 40) -> np.
     sums = []
     total = 0.0 + 0.0j
     coef = 1.0 + 0.0j  # (iL/hbar)^j / j!
+    # a running product, not **: numpy's float pow rounds differently under
+    # its AVX-512 and AVX2 loops, and the record must not depend on that
+    p_j = np.ones_like(g.p)
     for j in range(orders + 1):
         if j > 0:
             coef *= 1j * L / (g.hbar * j)
-        # _power, not **: numpy's float pow rounds differently under its
-        # AVX-512 and AVX2 loops, and the record must not depend on that
-        moment = float(np.sum(weights * _power(g.p, j)))
+            p_j *= g.p
+        moment = float(np.sum(weights * p_j))
         term = coef * moment
         if not (np.isfinite(term.real) and np.isfinite(term.imag)):
             warnings.warn(

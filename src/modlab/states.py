@@ -45,8 +45,10 @@ class PacketSpec:
     def __post_init__(self):
         if self.kind not in _PACKET_KINDS:
             raise ArgumentError(f"kind must be one of {_PACKET_KINDS}, got {self.kind!r}")
-        if not (self.width > 0.0):
-            raise ArgumentError(f"width must be positive, got {self.width}")
+        if not 0.0 < self.width < math.inf:  # NaN fails too
+            raise ArgumentError(f"width must be positive and finite, got {self.width}")
+        if not (math.isfinite(self.center) and math.isfinite(self.p0)):
+            raise ArgumentError(f"center and p0 must be finite, got {self.center}, {self.p0}")
 
     def support_radius(self) -> float:
         # bump amplitudes are exactly zero outside center +- width; for a
@@ -68,15 +70,17 @@ class SlitArraySpec:
     def __post_init__(self):
         if self.m_slits < 2:
             raise ArgumentError(f"m_slits must be >= 2, got {self.m_slits}")
-        if not (self.spacing > 0.0):
-            raise ArgumentError(f"spacing must be positive, got {self.spacing}")
+        if not 0.0 < self.spacing < math.inf:  # NaN fails too
+            raise ArgumentError(f"spacing must be positive and finite, got {self.spacing}")
         if len(self.phases) != self.m_slits:
             raise ArgumentError("need one phase per slit")
+        if not all(map(math.isfinite, self.phases)):
+            raise ArgumentError(f"phases must be finite, got {self.phases}")
         if self.weights is not None:
             if len(self.weights) != self.m_slits:
                 raise ArgumentError("need one weight per slit")
-            if any(w < 0.0 for w in self.weights):
-                raise ArgumentError("weights must be non-negative")
+            if not all(0.0 <= w < math.inf for w in self.weights):  # NaN fails too
+                raise ArgumentError(f"weights must be non-negative and finite, got {self.weights}")
 
 
 def _check_packet_fits(grid: Grid, spec: PacketSpec, support: tuple | None) -> None:

@@ -257,6 +257,16 @@ _GUARDS = {
         ArgumentError, "not 1-D bool, int or float", lambda tmp: _record(x=np.zeros((2, 2)))),
     "packet-unknown-kind": (
         ArgumentError, "kind must be one of", lambda tmp: PacketSpec("square", 0.0, 1.0)),
+    "packet-nan-p0": (
+        ArgumentError, "p0 must be finite", lambda tmp: PacketSpec("bump", 0.0, 1.0, math.nan)),
+    "packet-inf-p0": (
+        ArgumentError, "p0 must be finite", lambda tmp: PacketSpec("bump", 0.0, 1.0, math.inf)),
+    "packet-nan-center": (
+        ArgumentError, "center and p0 must be finite",
+        lambda tmp: PacketSpec("bump", math.nan, 1.0)),
+    "packet-inf-width": (
+        ArgumentError, "width must be positive and finite",
+        lambda tmp: PacketSpec("bump", 0.0, math.inf)),
     "slit-array-one-slit": (
         ArgumentError, "m_slits must be >= 2", lambda tmp: SlitArraySpec(1, 2.0, _BUMP, (0.0,))),
     "slit-array-phase-count": (
@@ -267,6 +277,21 @@ _GUARDS = {
     "slit-array-negative-weight": (
         ArgumentError, "non-negative",
         lambda tmp: SlitArraySpec(2, 2.0, _BUMP, (0.0, 0.0), (1.0, -1.0))),
+    "slit-array-inf-phase": (
+        ArgumentError, "phases must be finite",
+        lambda tmp: SlitArraySpec(2, 2.0, _BUMP, (0.0, math.inf))),
+    "slit-array-nan-phase": (
+        ArgumentError, "phases must be finite",
+        lambda tmp: SlitArraySpec(2, 2.0, _BUMP, (math.nan, 0.0))),
+    "slit-array-nan-weight": (
+        ArgumentError, "weights must be non-negative and finite",
+        lambda tmp: SlitArraySpec(2, 2.0, _BUMP, (0.0, 0.0), (1.0, math.nan))),
+    "slit-array-inf-weight": (
+        ArgumentError, "weights must be non-negative and finite",
+        lambda tmp: SlitArraySpec(2, 2.0, _BUMP, (0.0, 0.0), (math.inf, 1.0))),
+    "slit-array-inf-spacing": (
+        ArgumentError, "spacing must be positive and finite",
+        lambda tmp: SlitArraySpec(2, math.inf, _BUMP, (0.0, 0.0))),
     "superpose-nothing": (ZeroState, "no states given", lambda tmp: superpose([])),
 }
 

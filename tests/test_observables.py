@@ -499,3 +499,26 @@ def test_momentum_observables_of_one_state_share_one_transform(monkeypatch):
     fresh = WaveFunction(g, psi.amps.copy())
     assert moments == [weyl_moment(fresh, MomentSpec(0, m)) for m in range(1, 7)]
     assert c1 == translation_expect(fresh, L)
+
+
+def test_mixed_moment_takes_one_forward_transform_and_no_inverse(monkeypatch):
+    g = make_grid(256, -16.0, 32.0)
+    L = 64 * g.dx
+    psi = make_two_slit(g, L, PacketSpec("bump", -L / 2.0, 1.5), 0.9)
+    fft, ifft, calls = _fft.fft, _fft.ifft, []
+
+    def counting(a, axis=-1, overwrite=False):
+        calls.append(("fft", a.shape))
+        return fft(a, axis=axis, overwrite=overwrite)
+
+    def counting_inverse(a, axis=-1, overwrite=False):
+        calls.append(("ifft", a.shape))
+        return ifft(a, axis=axis, overwrite=overwrite)
+
+    monkeypatch.setattr(_fft, "fft", counting)
+    monkeypatch.setattr(_fft, "ifft", counting_inverse)
+    for n_x in range(1, 6):
+        for m_p in range(1, 7 - n_x):
+            calls.clear()
+            weyl_moment(psi, MomentSpec(n_x, m_p))
+            assert calls == [("fft", (n_x + 1, g.n))], (n_x, m_p)
