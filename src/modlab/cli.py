@@ -22,9 +22,9 @@ from .experiments import (
     _REQUIRED,
     ExperimentConfig,
     SCHEMAS,
-    experiment_names,
     run,
 )
+from .records import FORMATS
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -55,7 +55,7 @@ def read_config(path: Path) -> dict[str, str]:
 
 def print_schemas(stream=None) -> None:
     stream = stream or sys.stdout
-    for name in experiment_names():
+    for name in sorted(SCHEMAS):
         print(name, file=stream)
         for key, spec in SCHEMAS[name].items():
             if spec.default is _REQUIRED:
@@ -79,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("experiment", help="experiment name, or 'list' to enumerate")
     parser.add_argument("--config", type=Path, help="flat key=value parameter file")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--format", choices=FORMATS, default="csv")
     parser.add_argument("--seed", type=int, default=0, help="64-bit unsigned seed")
     args = parser.parse_args(argv)
 

@@ -48,7 +48,7 @@ from .observables import (
     translation_expect,
     tv_from_uniform,
 )
-from .records import ExperimentRecord, write_record
+from .records import FORMATS, ExperimentRecord, write_record
 from .rng import GENERATOR_NAME, check_seed, counter_uniform
 from .scattering import FluxParam, ScatterConfig, _checked_kr, _psi
 from .states import PacketSpec, SlitArraySpec, make_grating, make_packet
@@ -112,7 +112,11 @@ def validate_params(name: str, raw: dict) -> dict:
     SchemaViolation message. An int below its minimum, a value outside its
     choices and an empty list of floats are SchemaViolations too.
     """
-    schema = schema_for(name)
+    if name not in SCHEMAS:
+        raise UnknownExperiment(
+            f"unknown experiment {name!r}; valid names: {', '.join(sorted(SCHEMAS))}"
+        )
+    schema = SCHEMAS[name]
     problems = []
     unknown = sorted(set(raw) - set(schema))
     if unknown:
@@ -209,7 +213,7 @@ def _sample_lattice_p(
     idx = guide[j]
     open_ = (guide[1:] != guide[:-1])[j]
     idx[open_] = np.searchsorted(cdf, u[open_], side="right")
-    return dens.grid.p[np.minimum(idx, n - 1)]
+    return dens.grid.p[idx]
 
 
 def sample_detections(
@@ -260,20 +264,15 @@ def uncertainty_experiment(
         raise ArgumentError(f"k_max must be an integer >= 0, got {k_max!r}")
     if len(widths) == 0:
         raise ArgumentError("widths needs at least one value")
-    cols: dict[str, list] = {
-        "width": [], "tv_uniform": [], "c1_two_slit": [],
-        **{f"c{k}": [] for k in range(1, k_max + 1)},
-    }
+    names = ["width", "tv_uniform", "c1_two_slit", *(f"c{k}" for k in range(1, k_max + 1))]
+    rows = []
     for w in widths:
         single = make_packet(grid, PacketSpec(kind="bump", center=0.0, width=w))
         md = modular_distribution(single, L, bins=bins, k_max=k_max)
         two = make_grating(grid, _centered_array(2, L, "bump", w, (0.0, 0.0)))
-        cols["width"].append(w)
-        for k in range(1, k_max + 1):
-            cols[f"c{k}"].append(abs(md.fourier[k - 1]))
-        cols["tv_uniform"].append(md.tv_from_uniform())
-        cols["c1_two_slit"].append(abs(translation_expect(two, L)))
-    return ExperimentResult({k: np.asarray(v) for k, v in cols.items()},
+        rows.append([w, md.tv_from_uniform(), abs(translation_expect(two, L)),
+                     *map(abs, md.fourier)])
+    return ExperimentResult(dict(zip(names, np.array(rows).T)),
                             {"bin_quadrature_bound": 1.0 / (2.0 * bins)})
 
 
@@ -396,21 +395,9 @@ def _experiment(name: str, schema: dict[str, Param]):
     return wrap
 
 
-def schema_for(name: str) -> dict[str, Param]:
-    if name not in SCHEMAS:
-        raise UnknownExperiment(
-            f"unknown experiment {name!r}; valid names: {', '.join(sorted(SCHEMAS))}"
-        )
-    return SCHEMAS[name]
-
-
-def experiment_names() -> list[str]:
-    return sorted(SCHEMAS)
-
-
-def _peak_columns(psi, grid: Grid, spacing: float, extra_summary: dict) -> tuple[dict, dict]:
+def _peak_columns(psi, spacing: float, extra_summary: dict) -> tuple[dict, dict]:
     peaks = fringe_peaks(free_far_field(psi))
-    summary = {"expected_spacing": 2.0 * math.pi * grid.hbar / spacing, **extra_summary}
+    summary = {"expected_spacing": 2.0 * math.pi * psi.grid.hbar / spacing, **extra_summary}
     return {"p_peak": [p for p, _ in peaks], "height": [hgt for _, hgt in peaks]}, summary
 
 
@@ -428,7 +415,7 @@ def _run_two_slit(params: dict, seed: int) -> tuple[dict, dict]:
                                              params["width"], (0.0, params["alpha"]),
                                              params["p0"]))
     c1 = translation_expect(psi, params["spacing"])
-    return _peak_columns(psi, grid, params["spacing"],
+    return _peak_columns(psi, params["spacing"],
                          {"abs_c1": abs(c1), "arg_c1": math.atan2(c1.imag, c1.real)})
 
 
@@ -451,7 +438,7 @@ def _run_grating(params: dict, seed: int) -> tuple[dict, dict]:
     psi = make_grating(grid, _centered_array(m, params["spacing"], params["kind"],
                                              params["width"], phases, params["p0"]))
     offset = (math.pi * grid.hbar / params["spacing"]) if alternating else 0.0
-    return _peak_columns(psi, grid, params["spacing"], {"expected_offset": offset})
+    return _peak_columns(psi, params["spacing"], {"expected_offset": offset})
 
 
 @_experiment("eom-check", {
@@ -633,11 +620,14 @@ def run(
     config: ExperimentConfig, *, with_path: bool = False
 ) -> ExperimentRecord | tuple[ExperimentRecord, Path]:
     """Validate, dispatch, write the output file, and return the record, or
-    with `with_path` the pair (record, path of the file written). Arithmetic
+    with `with_path` the pair (record, path of the file written). A format
+    other than csv or json is refused before the run. Arithmetic
     that overflows, divides by zero or yields NaN, and a record holding a
     non-finite value, raise ArgumentError; so does a run that runs out of memory,
     and a seed outside the rule of `rng.check_seed`."""
     check_seed(config.seed)
+    if config.format not in FORMATS:
+        raise ArgumentError(f"format must be csv or json, got {config.format!r}")
     params = validate_params(config.name, config.params)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):

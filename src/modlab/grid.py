@@ -22,6 +22,7 @@ from . import _fft
 from .errors import (
     ArgumentError,
     GridMismatch,
+    NonFiniteAmplitude,
     NonPositiveDomain,
     NonPowerOfTwo,
     OffLatticeL,
@@ -124,9 +125,12 @@ class Amplitudes:
         return math.sqrt(float(np.sum(self.density())) * cell**self.rank)
 
     def normalized(self):
-        n = self.norm()
+        with np.errstate(over="ignore"):  # a norm past the float range is refused below
+            n = self.norm()
         if n == 0.0:
             raise ZeroState("cannot normalize the zero state")
+        if not math.isfinite(n):
+            raise NonFiniteAmplitude(f"cannot normalize a state of norm {n}")
         return type(self)(self.grid, self.amps / n)
 
     def density(self) -> np.ndarray:

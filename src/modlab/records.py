@@ -21,6 +21,7 @@ from .errors import ArgumentError, IoFailure
 # tolist returns, by dtype kind; "%.17g" is the conversion format(x, ".17g") makes
 _PRINTF_BY_KIND = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
 _CSV_ROWS = 2**14  # rows formatted at a time: bounds the per-block value lists
+FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ def _json_text(record: ExperimentRecord) -> str:
 
 def write_record(record: ExperimentRecord, out_dir, fmt: str, seed: int) -> Path:
     """Write <experiment>-<seed>.<fmt> under out_dir; returns the path."""
-    if fmt not in ("csv", "json"):
+    if fmt not in FORMATS:
         raise ArgumentError(f"format must be csv or json, got {fmt!r}")
     text = _csv_text(record) if fmt == "csv" else _json_text(record)
     path = Path(out_dir) / f"{record.experiment}-{seed}.{fmt}"

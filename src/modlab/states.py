@@ -9,6 +9,7 @@ up to tails.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -144,6 +145,8 @@ def superpose(
     g = parts[0][0].grid
     if any(wf.grid != g for wf, _ in parts):
         raise GridMismatch("superposition parts live on different grids")
+    if not all(cmath.isfinite(c) for _, c in parts):
+        raise ArgumentError("superposition coefficients must be finite")
     acc = np.zeros(g.n, dtype=np.complex128)
     for wf, c in parts:
         acc += c * wf.amps

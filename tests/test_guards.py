@@ -25,6 +25,7 @@ from modlab import (
     ellipse_check,
     fold_density,
     fringe_peaks,
+    make_grating,
     make_grid,
     make_packet,
     modular_distribution,
@@ -43,12 +44,14 @@ from modlab import (
     weyl_moment,
     write_record,
 )
+from modlab import experiments
 from modlab.errors import (
     ArgumentError,
     DegreeCap,
     GridMismatch,
     IoFailure,
     ModlabError,
+    NonFiniteAmplitude,
     NonPowerOfTwo,
     NoPeaks,
     ZeroState,
@@ -89,6 +92,19 @@ def _run_with_seed_minus_one(tmp_path):
         assert not any(tmp_path.iterdir()), "a refused run wrote a file"
 
 
+def _run_with_unknown_format(tmp_path):
+    runner = experiments._RUNNERS["two-slit"]
+
+    def must_not_run(params, seed):
+        raise AssertionError("the experiment ran before its format was checked")
+
+    experiments._RUNNERS["two-slit"] = must_not_run
+    try:
+        run(ExperimentConfig("two-slit", {"alpha": "0"}, 0, str(tmp_path), "xml"))
+    finally:
+        experiments._RUNNERS["two-slit"] = runner
+
+
 def _pair_state():
     g = _grid()
     return product_state(_packet(g), _packet(g))
@@ -107,6 +123,10 @@ _GUARDS = {
     "product-state-grids-differ": (
         GridMismatch, "different grids",
         lambda tmp: product_state(_packet(_grid()), _packet(_grid(24.0)))),
+    "product-state-overflowing-factor": (
+        NonFiniteAmplitude, "cannot normalize a state of norm inf",
+        lambda tmp: product_state(WaveFunction(_grid(), _packet(_grid()).amps * 1e160),
+                                  _packet(_grid()))),
     "classical-limit-non-positive-hbar": (
         ArgumentError, "must be positive",
         lambda tmp: classical_limit_experiment(1.0, [0.5, 0.0], PacketSpec("gaussian", 0.0, 1.0),
@@ -148,6 +168,7 @@ _GUARDS = {
         ArgumentError, "seed must be an integer",
         lambda tmp: sample_detections(_far_field(), 10, True)),
     "run-negative-seed": (ArgumentError, "seed must be an integer", _run_with_seed_minus_one),
+    "run-unknown-format": (ArgumentError, "format must be csv or json", _run_with_unknown_format),
     "translation-expect-fractional-k": (
         ArgumentError, "k must be an integer",
         lambda tmp: translation_expect(_packet(_grid()), 1.0, 1.5)),
@@ -225,6 +246,9 @@ _GUARDS = {
         lambda tmp: ScatterConfig(1.0, 10.0, (0.0,), 64.5)),
     "amplitudes-wrong-shape": (
         GridMismatch, "expected shape", lambda tmp: WaveFunction(_grid(), np.ones(32))),
+    "normalize-overflowing-norm": (
+        NonFiniteAmplitude, "cannot normalize a state of norm inf",
+        lambda tmp: WaveFunction(_grid(), _packet(_grid()).amps * 1e200).normalized()),
     "fringe-peaks-zero-density": (
         NoPeaks, "identically zero",
         lambda tmp: fringe_peaks(MomentumAmplitudes(_grid(), np.zeros(128)))),
@@ -292,7 +316,17 @@ _GUARDS = {
     "slit-array-inf-spacing": (
         ArgumentError, "spacing must be positive and finite",
         lambda tmp: SlitArraySpec(2, math.inf, _BUMP, (0.0, 0.0))),
+    "grating-overflowing-weights": (
+        NonFiniteAmplitude, "cannot normalize a state of norm inf",
+        lambda tmp: make_grating(_grid(), SlitArraySpec(2, 4.0, _PAIR.packet, (0.0, 0.0),
+                                                        (1e308, 1e308)))),
     "superpose-nothing": (ZeroState, "no states given", lambda tmp: superpose([])),
+    "superpose-nan-coefficient": (
+        ArgumentError, "coefficients must be finite",
+        lambda tmp: superpose([(_packet(_grid()), 1.0), (_packet(_grid()), math.nan)])),
+    "superpose-inf-coefficient": (
+        ArgumentError, "coefficients must be finite",
+        lambda tmp: superpose([(_packet(_grid()), 1.0), (_packet(_grid()), math.inf)])),
 }
 
 
