@@ -90,11 +90,24 @@ class PotentialSpec:
         return vals
 
 
+# Suzuki's fourth-order fractal (Phys. Lett. A 146, 319 (1990)), p = 1/(4 - 4^(1/3)),
+# written out so that no platform's pow rounds it; 1 - 4p is exact in floats
+_P4 = 0.4144907717943757
+
+# drift fractions c_i of one composite step, summing to 1: Strang (1968) is one
+# stage, and a symmetric composition of Strang stages cancels its dt^3 local error
+SPLITTINGS = {"strang": (1.0,), "suzuki4": (_P4, _P4, 1.0 - 4.0 * _P4, _P4, _P4)}
+
+
 @dataclass(frozen=True)
 class PropagatorConfig:
+    """dt is the length of one composite step and steps counts them;
+    `splitting` names the composition of Strang stages each step makes."""
+
     dt: float
     steps: int
     mass: float = 1.0
+    splitting: str = "strang"
 
     def __post_init__(self):
         # an inf dt or mass would step to NaN or leave the state unmoved, and a
@@ -105,6 +118,9 @@ class PropagatorConfig:
             raise ArgumentError(f"steps must be an integer >= 1, got {self.steps!r}")
         if not 0.0 < self.mass < math.inf:
             raise ArgumentError(f"mass must be positive and finite, got {self.mass}")
+        if self.splitting not in SPLITTINGS:
+            raise ArgumentError(
+                f"splitting must be one of {tuple(SPLITTINGS)}, got {self.splitting!r}")
 
 
 def propagate(
@@ -113,7 +129,9 @@ def propagate(
     cfg: PropagatorConfig,
     snapshot_every: int = 1,
 ) -> list[WaveFunction]:
-    """Strang-split evolution exp(-iV dt/2h) exp(-ip^2 dt/2mh) exp(-iV dt/2h).
+    """Split-operator evolution: each step composes the Strang stages
+    exp(-iV c dt/2h) exp(-ip^2 c dt/2mh) exp(-iV c dt/2h) over the fractions c
+    of `cfg.splitting`, the one stage c = 1 for the default "strang".
 
     Returns snapshots at steps 0, snapshot_every, 2*snapshot_every, ..., steps;
     steps must be a multiple of snapshot_every so the cadence is uniform.
@@ -138,7 +156,7 @@ def _strang(
     every: int,
     observe: Callable[[np.ndarray], object] | None = None,
 ) -> list:
-    """The Strang stepper shared by one- and two-particle evolution.
+    """The split-operator stepper shared by one- and two-particle evolution.
 
     It evolves a stack of rows and transforms over the last axis only. A
     one-particle state is one row. A two-particle state is changed once into
@@ -150,14 +168,19 @@ def _strang(
     entry [J, j1] of `fft(rows, axis=-1)` is the amplitude at
     (p_raw[j1], p_raw[(J - j1) mod n]).
 
-    Each step transforms each row, applies the kinetic phase and transforms
-    back, between potential kicks. Strang's two half kicks exp(-i v dt/2h)
-    that meet between steps are merged into one full kick exp(-i v dt/h)
-    (computed as the square of the half kick): the stepper applies a half
-    kick before step 1, a full kick after each step that is not a snapshot,
-    and at a snapshot a half kick, the observation, then a half kick again
-    unless it is the last step. With every = 1 that is the same products in
-    the same order as two half kicks per step.
+    Each step is a composition of Strang stages, one per drift fraction c_i
+    of `SPLITTINGS[cfg.splitting]` (the c_i sum to 1): a half kick
+    exp(-i v c_i dt/2h), the drift, which transforms each row, applies the
+    kinetic phase exp(-i p^2 c_i dt/2mh) and transforms back, then a half
+    kick again. Each distinct fraction has one kinetic tile. Two half kicks
+    that meet are merged into one kick, their product: the stepper applies
+    the first stage's half kick before step 1, a merged kick after each
+    stage but the last, the merged kick of the last and first stages after
+    a step that is not a snapshot, and at a snapshot the last stage's half
+    kick, the observation, then the first stage's half kick again unless it
+    is the last step. For "strang", `(1.0,)`, the merged kick is the square
+    of the half kick exp(-i v dt/2h), and with every = 1 that is the same
+    products in the same order as two half kicks per step.
 
     At steps 0, every, ..., steps the stepper calls `observe(rows,
     sectors=...)` and returns the list of what it returned. `observe` must
@@ -178,11 +201,12 @@ def _strang(
     the probability, each snapshot moves by at most sqrt(delta) of the
     norm, and each translation expectation by at most 2 delta.
 
-    Phase-wrap contract: the kinetic phase per step, p^2 dt/2mh (for two
-    particles (p1^2 + p2^2) dt/2mh), is ambiguous once it reaches pi. The
-    stepper warns with `PhaseWrapWarning` when the input puts more than
-    `PHASE_WRAP_PROBABILITY` of its probability, measured in the basis it
-    steps in, on lattice momenta whose phase per step is at least pi.
+    Phase-wrap contract: the kinetic phase per stage, p^2 |c_i| dt/2mh (for
+    two particles (p1^2 + p2^2) |c_i| dt/2mh), is ambiguous once it reaches
+    pi. The stepper warns with `PhaseWrapWarning` when the input puts more
+    than `PHASE_WRAP_PROBABILITY` of its probability, measured in the basis
+    it steps in, on lattice momenta whose phase in the largest stage,
+    max |c_i| dt, is at least pi.
     """
     if not isinstance(every, numbers.Integral) or every < 1 or cfg.steps % every != 0:
         raise ArgumentError(
@@ -198,14 +222,15 @@ def _strang(
         positions = functools.partial(_from_sectors, shear=shear)
     else:
         rows, p2, positions = state.amps[None].copy(), p2[None], np.ndarray.flatten
-    wrapped = p2 * (cfg.dt / (2.0 * cfg.mass * g.hbar)) >= math.pi
+    fractions = SPLITTINGS[cfg.splitting]
+    wrapped = p2 * (max(map(abs, fractions)) * cfg.dt / (2.0 * cfg.mass * g.hbar)) >= math.pi
     if np.any(wrapped):
         weights = np.abs(_fft.fft(rows, axis=-1)) ** 2
         share, total = np.sum(weights[wrapped]), np.sum(weights)
         if share > PHASE_WRAP_PROBABILITY * total:
             warnings.warn(
                 f"{share / total:.3g} of the probability sits on momenta whose "
-                "kinetic phase advance reaches pi rad/step",
+                "kinetic phase advance reaches pi rad/stage",
                 PhaseWrapWarning,
                 stacklevel=3,
             )
@@ -229,24 +254,41 @@ def _strang(
         sectors = None
     else:
         rows, p2 = rows[sectors], p2[sectors]
-    kinetic = np.exp(-0.5j * p2 * cfg.dt / (cfg.mass * g.hbar))
+    kinetic = {c: np.exp(-0.5j * p2 * (c * cfg.dt) / (cfg.mass * g.hbar)) for c in fractions}
     # the kicks take the shape of the stepped stack, so no product broadcasts
     # row by row
-    half_v = np.tile(np.exp(-0.5j * v * cfg.dt / g.hbar), (len(rows), 1))
-    full_v = half_v * half_v
-    rows *= half_v
+    half = {c: np.tile(np.exp(-0.5j * v * (c * cfg.dt) / g.hbar), (len(rows), 1))
+            for c in fractions}
+    merged = {}  # one array per distinct pair of adjacent fractions
+    stages = []  # (kinetic phase, merged kick after it); the last kick joins two steps
+    for a, b in zip(fractions, fractions[1:] + fractions[:1]):
+        pair = frozenset((a, b))
+        if pair not in merged:
+            merged[pair] = half[a] * half[b]
+        stages.append((kinetic[a], merged[pair]))
+    *inner, (last, boundary) = stages
+    first_half, last_half = half[fractions[0]], half[fractions[-1]]
+    rows *= first_half
     for step in range(1, cfg.steps + 1):
-        rows = _fft.fft(rows, axis=-1, overwrite=True)
-        rows *= kinetic
-        rows = _fft.ifft(rows, axis=-1, overwrite=True)
+        for phase, kick in inner:
+            rows = _drift(rows, phase)
+            rows *= kick
+        rows = _drift(rows, last)
         if step % every:
-            rows *= full_v
+            rows *= boundary
             continue
-        rows *= half_v
+        rows *= last_half
         snapshots.append(observe(rows, sectors=sectors))
         if step < cfg.steps:
-            rows *= half_v
+            rows *= first_half
     return snapshots
+
+
+def _drift(rows: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """One kinetic drift of the rows, in place: transform, phase, transform back."""
+    rows = _fft.fft(rows, axis=-1, overwrite=True)
+    rows *= phase
+    return _fft.ifft(rows, axis=-1, overwrite=True)
 
 
 def _check_finite(amps: np.ndarray) -> None:
@@ -314,7 +356,7 @@ def propagate_two(
     snapshot_every: int = 1,
     observe: Callable[[np.ndarray], object] | None = None,
 ) -> list:
-    """Strang-split two-particle evolution under H = (p1^2 + p2^2)/2m + V(x1 - x2).
+    """Split-operator two-particle evolution under H = (p1^2 + p2^2)/2m + V(x1 - x2).
     With `observe`, returns what it returns at each snapshot from the stepper's
     total-momentum sector rows, under the hook contract stated in `_strang`."""
     return _strang(state, _two_particle_potential(state.grid, v12), cfg, snapshot_every,

@@ -26,6 +26,7 @@ from .errors import (
     GridMismatch,
     InternalInconsistency,
     NoPeaks,
+    NonFiniteAmplitude,
     NonUniformSampling,
     PeriodUnderResolved,
 )
@@ -77,15 +78,20 @@ def translation_expect(psi: WaveFunction, L: float, k: int = 1) -> complex:
 
     Computed both as sum(conj(psi(x)) psi(x + kL)) dx and as the spectral sum
     over the momentum density; disagreement beyond 1e-11 * max(1, ||psi||^2)
-    signals grid artifacts and raises InternalInconsistency.
+    signals grid artifacts and raises InternalInconsistency, as a NaN
+    amplitude does. A state whose norm overflows raises NonFiniteAmplitude.
     """
     if not isinstance(k, numbers.Integral) or k < 1:
         raise ArgumentError(f"k must be an integer >= 1, got {k!r}")
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm = psi.norm()
+    if norm == math.inf:
+        raise NonFiniteAmplitude(f"cannot measure a state of norm {norm}")
     g = psi.grid
     pos_val = inner(psi, translate(psi, k * L))
     weights = to_momentum(psi).density() * g.dp
     mom_val = complex(np.sum(weights * np.exp(1j * g.p * k * L / g.hbar)))
-    tol = _CROSS_CHECK_TOL * max(1.0, psi.norm() ** 2)
+    tol = _CROSS_CHECK_TOL * max(1.0, norm**2)
     if not abs(pos_val - mom_val) <= tol:  # a NaN gap fails too
         raise InternalInconsistency(
             f"overlap form {pos_val} and spectral form {mom_val} disagree by "
@@ -153,16 +159,26 @@ def weyl_moment(psi: WaveFunction, spec: MomentSpec) -> float:
     of the rows x^k psi, each term summed by Parseval), which is the same
     operator the dense matrix engine builds but without the dense product's
     roundoff; the two agree to the engine's noise floor and are cross-checked
-    in the test suite.
+    in the test suite. A moment that is not finite (the state's density
+    overflows) raises NonFiniteAmplitude.
     """
     g = psi.grid
-    if spec.m_p == 0:
-        return float(np.sum(psi.position_density() * _power(g.x, spec.n_x)) * g.dx)
-    if spec.n_x == 0:
-        mom = to_momentum(psi)
-        return float(np.sum(mom.density() * _power(g.p, spec.m_p)) * g.dp)
-    n = spec.n_x
-    p_pow = _power(g.p_raw, spec.m_p)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        if spec.m_p == 0:
+            value = float(np.sum(psi.position_density() * _power(g.x, spec.n_x)) * g.dx)
+        elif spec.n_x == 0:
+            value = float(np.sum(to_momentum(psi).density() * _power(g.p, spec.m_p)) * g.dp)
+        else:
+            value = _mixed_moment(psi, spec.n_x, spec.m_p)
+    if not math.isfinite(value):
+        raise NonFiniteAmplitude(f"the moment {spec} is {value}, not a finite number")
+    return value
+
+
+def _mixed_moment(psi: WaveFunction, n: int, m: int) -> float:
+    """The symmetrized moment of x^n p^m, n and m >= 1, by Parseval."""
+    g = psi.grid
+    p_pow = _power(g.p_raw, m)
     rows = np.empty((n + 1, g.n), dtype=complex)  # x^k psi for k = 0..n, by running products
     rows[0] = psi.amps
     for k in range(n):
@@ -225,8 +241,11 @@ def fringe_peaks(dens: MomentumAmplitudes) -> list[tuple[float, float]]:
     """Local maxima of the momentum density above 10% of the global maximum,
     localized by three-point quadratic interpolation; sorted by p."""
     g = dens.grid
-    d = dens.density()
+    with np.errstate(over="ignore"):  # an overflowing density is refused below
+        d = dens.density()
     top = float(np.max(d))
+    if not math.isfinite(top):
+        raise NonFiniteAmplitude(f"density maximum {top} is not finite")
     if top <= 0.0:
         raise NoPeaks("density is identically zero")
     threshold = 0.1 * top

@@ -523,7 +523,8 @@ def test_run_two_particle_matches_public_route(tmp_path, params):
         make_packet(g, PacketSpec("gaussian", +a, p["sigma"], -p["p_approach"])),
     )
     well = PotentialSpec.sampled(-p["well_depth"] * np.exp(-g.x**2 / (2.0 * p["well_width"] ** 2)))
-    snaps = propagate_two(state, well, PropagatorConfig(p["dt"], p["steps"], p["mass"]),
+    snaps = propagate_two(state, well, PropagatorConfig(p["dt"], p["steps"], p["mass"],
+                                                        splitting="suzuki4"),
                           snapshot_every=p["snapshot_every"])
     L = p["spacing"]
     t12 = np.array([translation_expect_two(s, L, 1, 1) for s in snaps])

@@ -105,6 +105,11 @@ def _run_with_unknown_format(tmp_path):
         experiments._RUNNERS["two-slit"] = runner
 
 
+def _overflowing_state():
+    # amplitudes whose squares overflow; the constructor does not normalize
+    return WaveFunction(_grid(), _packet(_grid()).amps * 1e200)
+
+
 def _pair_state():
     g = _grid()
     return product_state(_packet(g), _packet(g))
@@ -131,6 +136,14 @@ _GUARDS = {
         ArgumentError, "must be positive",
         lambda tmp: classical_limit_experiment(1.0, [0.5, 0.0], PacketSpec("gaussian", 0.0, 1.0),
                                                _grid())),
+    "classical-limit-nan-hbar": (
+        ArgumentError, "hbar values must be positive and finite, got nan",
+        lambda tmp: classical_limit_experiment(1.0, [math.nan], PacketSpec("gaussian", 0.0, 1.0),
+                                               _grid())),
+    "classical-limit-inf-hbar": (
+        ArgumentError, "hbar values must be positive and finite, got inf",
+        lambda tmp: classical_limit_experiment(1.0, [math.inf, 1.0],
+                                               PacketSpec("gaussian", 0.0, 1.0), _grid())),
     "classical-limit-fractional-bins": (
         ArgumentError, "bins must be an integer",
         lambda tmp: classical_limit_experiment(1.0, [2.0], PacketSpec("gaussian", 0.0, 1.0),
@@ -152,9 +165,15 @@ _GUARDS = {
         ArgumentError, "snapshot_every must be an integer",
         lambda tmp: propagate(_packet(_grid()), PotentialSpec.zero(), PropagatorConfig(0.01, 10),
                               snapshot_every=2.5)),
+    "propagator-config-unknown-splitting": (
+        ArgumentError, "splitting must be one of",
+        lambda tmp: PropagatorConfig(0.01, 10, splitting="yoshida")),
     "sample-detections-fractional-trials": (
         ArgumentError, "n_trials must be an integer",
         lambda tmp: sample_detections(_far_field(), 2.5, 0)),
+    "sample-detections-overflowing-density": (
+        NonFiniteAmplitude, "cannot sample a non-finite density",
+        lambda tmp: sample_detections(to_momentum(_overflowing_state()), 10, 0)),
     "sample-detections-fractional-seed": (
         ArgumentError, "seed must be an integer",
         lambda tmp: sample_detections(_far_field(), 10, 1.5)),
@@ -172,6 +191,9 @@ _GUARDS = {
     "translation-expect-fractional-k": (
         ArgumentError, "k must be an integer",
         lambda tmp: translation_expect(_packet(_grid()), 1.0, 1.5)),
+    "translation-expect-overflowing-density": (
+        NonFiniteAmplitude, "cannot measure a state of norm inf",
+        lambda tmp: translation_expect(_overflowing_state(), 2.0)),
     "translation-expect-two-fractional-k1": (
         ArgumentError, "k1 and k2 must be integers",
         lambda tmp: translation_expect_two(_pair_state(), 1.0, 1.5, 1)),
@@ -238,6 +260,12 @@ _GUARDS = {
     "weyl-moment-fractional-degree": (
         DegreeCap, "degrees must be non-negative integers",
         lambda tmp: weyl_moment(_packet(_grid()), MomentSpec(1.5, 1))),
+    "weyl-moment-overflowing-density": (
+        NonFiniteAmplitude, "not a finite number",
+        lambda tmp: weyl_moment(_overflowing_state(), MomentSpec(1, 1))),
+    "weyl-moment-overflowing-position-density": (
+        NonFiniteAmplitude, "not a finite number",
+        lambda tmp: weyl_moment(_overflowing_state(), MomentSpec(2, 0))),
     "weyl-matrix-fractional-degree": (
         DegreeCap, "degrees must be non-negative integers",
         lambda tmp: weyl_matrix(_grid(), 1.5, 1)),
@@ -252,6 +280,9 @@ _GUARDS = {
     "fringe-peaks-zero-density": (
         NoPeaks, "identically zero",
         lambda tmp: fringe_peaks(MomentumAmplitudes(_grid(), np.zeros(128)))),
+    "fringe-peaks-overflowing-density": (
+        NonFiniteAmplitude, "density maximum inf is not finite",
+        lambda tmp: fringe_peaks(to_momentum(_overflowing_state()))),
     "operator-matrix-wrong-shape": (
         ArgumentError, "entries, got", lambda tmp: OperatorMatrix(4, np.zeros((3, 3)))),
     "operator-matrix-not-hermitian": (
