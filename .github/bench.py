@@ -11,8 +11,11 @@ Both JSON lines of every run are kept. Per metric, the corrected metrics of
 the result line and the uncorrected `wall_times` of the line before it get
 each side's median and quartiles, and the number of pairs in which the
 change read better. Which way is better comes from the change's
-BENCHMARK.json; `wall_times.reference_p50_s` is better lower. Standard
-library only.
+BENCHMARK.json; `wall_times.reference_p50_s` is better lower. The
+provenance names the host as numpy sees it: its version, its SIMD baseline
+and found extensions, the C library, and the core its bundled OpenBLAS
+picked (null where the library has no `scipy_openblas_get_corename64_`).
+Standard library only.
 """
 
 from __future__ import annotations
@@ -27,6 +30,26 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+# run in a child process, so the host is read as numpy loads it there
+_HOST = """
+import ctypes, glob, json, os, platform
+import numpy
+
+def openblas_core():
+    root = os.path.dirname(numpy.__file__)
+    for path in sorted(glob.glob(os.path.join(root, "..", "numpy.libs", "*openblas*"))
+                       + glob.glob(os.path.join(root, ".dylibs", "*openblas*"))):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+print(json.dumps({"numpy": numpy.__version__,
+                  "numpy_simd": numpy.show_config(mode="dicts")["SIMD Extensions"],
+                  "libc": platform.libc_ver(), "openblas_core": openblas_core()}))
+"""
 
 
 def _parse(argv):
@@ -89,12 +112,12 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     higher = {m["name"] for m in spec["end_to_end"] + spec["per_layer"] if m["better"] == "higher"}
     checkouts = {"parent": args.parent, "change": args.change}
-    numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
-                           capture_output=True, text=True).stdout.strip()
+    host = json.loads(subprocess.run([sys.executable, "-c", _HOST], capture_output=True,
+                                     text=True, check=True).stdout)
     report = {
         "seeds": args.seeds, "seconds": args.seconds, "trace": args.trace,
         "provenance": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                       "numpy": numpy,
+                       **host,
                        **{side: _side_provenance(path) for side, path in checkouts.items()}},
         "workloads": {},
     }

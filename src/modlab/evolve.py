@@ -42,8 +42,8 @@ _POTENTIAL_KINDS = ("zero", "harmonic", "barrier", "sampled")
 @dataclass(frozen=True)
 class PotentialSpec:
     """A static potential: zero, harmonic (0.5*k_spring*x^2), a rectangular
-    barrier of the given height on [x_lo, x_hi), or explicit samples on the
-    grid lattice."""
+    barrier of the given height on [x_lo, x_hi), one-sided if a bound is
+    infinite, or explicit samples on the grid lattice."""
 
     kind: str
     k_spring: float = 0.0
@@ -60,6 +60,10 @@ class PotentialSpec:
                 raise ArgumentError("sampled potential needs samples")
             if not np.all(np.isfinite(self.samples)):
                 raise ArgumentError("potential samples must be finite")
+        for name in ("k_spring", "height", "x_lo", "x_hi"):
+            value = getattr(self, name)
+            if math.isnan(value) or (math.isinf(value) and not name.startswith("x")):
+                raise ArgumentError(f"potential {name} must not be {value}")
 
     @classmethod
     def zero(cls) -> "PotentialSpec":
@@ -94,15 +98,19 @@ class PotentialSpec:
 # written out so that no platform's pow rounds it; 1 - 4p is exact in floats
 _P4 = 0.4144907717943757
 
-# drift fractions c_i of one composite step, summing to 1: Strang (1968) is one
-# stage, and a symmetric composition of Strang stages cancels its dt^3 local error
-SPLITTINGS = {"strang": (1.0,), "suzuki4": (_P4, _P4, 1.0 - 4.0 * _P4, _P4, _P4)}
+# (kicks b_0..b_s, drifts a_1..a_s) of one step, palindromes summing to 1: Strang
+# (1968), and Suzuki's five Strang stages (p, p, 1 - 4p, p, p), fourth order
+SPLITTINGS = {
+    "strang": ((0.5, 0.5), (1.0,)),
+    "suzuki4": ((_P4 / 2, _P4, (1.0 - 3.0 * _P4) / 2, (1.0 - 3.0 * _P4) / 2, _P4, _P4 / 2),
+                (_P4, _P4, 1.0 - 4.0 * _P4, _P4, _P4)),
+}
 
 
 @dataclass(frozen=True)
 class PropagatorConfig:
     """dt is the length of one composite step and steps counts them;
-    `splitting` names the composition of Strang stages each step makes."""
+    `splitting` names the table of kicks and drifts each step makes."""
 
     dt: float
     steps: int
@@ -129,9 +137,9 @@ def propagate(
     cfg: PropagatorConfig,
     snapshot_every: int = 1,
 ) -> list[WaveFunction]:
-    """Split-operator evolution: each step composes the Strang stages
-    exp(-iV c dt/2h) exp(-ip^2 c dt/2mh) exp(-iV c dt/2h) over the fractions c
-    of `cfg.splitting`, the one stage c = 1 for the default "strang".
+    """Split-operator evolution: each step is the kick exp(-iV b_0 dt/h), then
+    per drift a_i the drift exp(-ip^2 a_i dt/2mh) and the kick b_i of
+    `cfg.splitting`; for the default "strang" the kicks are 1/2 and the drift 1.
 
     Returns snapshots at steps 0, snapshot_every, 2*snapshot_every, ..., steps;
     steps must be a multiple of snapshot_every so the cadence is uniform.
@@ -168,19 +176,16 @@ def _strang(
     entry [J, j1] of `fft(rows, axis=-1)` is the amplitude at
     (p_raw[j1], p_raw[(J - j1) mod n]).
 
-    Each step is a composition of Strang stages, one per drift fraction c_i
-    of `SPLITTINGS[cfg.splitting]` (the c_i sum to 1): a half kick
-    exp(-i v c_i dt/2h), the drift, which transforms each row, applies the
-    kinetic phase exp(-i p^2 c_i dt/2mh) and transforms back, then a half
-    kick again. Each distinct fraction has one kinetic tile. Two half kicks
-    that meet are merged into one kick, their product: the stepper applies
-    the first stage's half kick before step 1, a merged kick after each
-    stage but the last, the merged kick of the last and first stages after
-    a step that is not a snapshot, and at a snapshot the last stage's half
-    kick, the observation, then the first stage's half kick again unless it
-    is the last step. For "strang", `(1.0,)`, the merged kick is the square
-    of the half kick exp(-i v dt/2h), and with every = 1 that is the same
-    products in the same order as two half kicks per step.
+    Each step follows the table (b_0..b_s, a_1..a_s) of
+    `SPLITTINGS[cfg.splitting]`: the kick exp(-i v b_0 dt/h), then per i the
+    drift, which transforms each row, applies the kinetic phase
+    exp(-i p^2 a_i dt/2mh) and transforms back, and the kick b_i. Each
+    distinct a_i has one kinetic tile and each distinct b_i one kick tile.
+    Between two steps with no snapshot the kicks b_s and b_0 meet, and the
+    stepper applies their product, the joining kick; at a snapshot it
+    applies b_s, observes, then b_0 unless it is the last step. For
+    "strang", ((1/2, 1/2), (1,)), the joining kick is the square of the half
+    kick exp(-i v dt/2h).
 
     At steps 0, every, ..., steps the stepper calls `observe(rows,
     sectors=...)` and returns the list of what it returned. `observe` must
@@ -201,12 +206,12 @@ def _strang(
     the probability, each snapshot moves by at most sqrt(delta) of the
     norm, and each translation expectation by at most 2 delta.
 
-    Phase-wrap contract: the kinetic phase per stage, p^2 |c_i| dt/2mh (for
-    two particles (p1^2 + p2^2) |c_i| dt/2mh), is ambiguous once it reaches
+    Phase-wrap contract: the kinetic phase per drift, p^2 |a_i| dt/2mh (for
+    two particles (p1^2 + p2^2) |a_i| dt/2mh), is ambiguous once it reaches
     pi. The stepper warns with `PhaseWrapWarning` when the input puts more
     than `PHASE_WRAP_PROBABILITY` of its probability, measured in the basis
-    it steps in, on lattice momenta whose phase in the largest stage,
-    max |c_i| dt, is at least pi.
+    it steps in, on lattice momenta whose phase in the largest drift,
+    max |a_i| dt, is at least pi.
     """
     if not isinstance(every, numbers.Integral) or every < 1 or cfg.steps % every != 0:
         raise ArgumentError(
@@ -222,8 +227,8 @@ def _strang(
         positions = functools.partial(_from_sectors, shear=shear)
     else:
         rows, p2, positions = state.amps[None].copy(), p2[None], np.ndarray.flatten
-    fractions = SPLITTINGS[cfg.splitting]
-    wrapped = p2 * (max(map(abs, fractions)) * cfg.dt / (2.0 * cfg.mass * g.hbar)) >= math.pi
+    kicks, drifts = SPLITTINGS[cfg.splitting]
+    wrapped = p2 * (max(map(abs, drifts)) * cfg.dt / (2.0 * cfg.mass * g.hbar)) >= math.pi
     if np.any(wrapped):
         weights = np.abs(_fft.fft(rows, axis=-1)) ** 2
         share, total = np.sum(weights[wrapped]), np.sum(weights)
@@ -254,33 +259,26 @@ def _strang(
         sectors = None
     else:
         rows, p2 = rows[sectors], p2[sectors]
-    kinetic = {c: np.exp(-0.5j * p2 * (c * cfg.dt) / (cfg.mass * g.hbar)) for c in fractions}
+    kinetic = {a: np.exp(-0.5j * p2 * (a * cfg.dt) / (cfg.mass * g.hbar)) for a in drifts}
     # the kicks take the shape of the stepped stack, so no product broadcasts
     # row by row
-    half = {c: np.tile(np.exp(-0.5j * v * (c * cfg.dt) / g.hbar), (len(rows), 1))
-            for c in fractions}
-    merged = {}  # one array per distinct pair of adjacent fractions
-    stages = []  # (kinetic phase, merged kick after it); the last kick joins two steps
-    for a, b in zip(fractions, fractions[1:] + fractions[:1]):
-        pair = frozenset((a, b))
-        if pair not in merged:
-            merged[pair] = half[a] * half[b]
-        stages.append((kinetic[a], merged[pair]))
-    *inner, (last, boundary) = stages
-    first_half, last_half = half[fractions[0]], half[fractions[-1]]
-    rows *= first_half
+    kick = {b: np.tile(np.exp(-1j * v * (b * cfg.dt) / g.hbar), (len(rows), 1)) for b in kicks}
+    first, last = kick[kicks[0]], kick[kicks[-1]]
+    joining = last * first
+    inner = [(kinetic[a], kick[b]) for a, b in zip(drifts, kicks[1:-1])]
+    rows *= first
     for step in range(1, cfg.steps + 1):
-        for phase, kick in inner:
+        for phase, tile in inner:
             rows = _drift(rows, phase)
-            rows *= kick
-        rows = _drift(rows, last)
+            rows *= tile
+        rows = _drift(rows, kinetic[drifts[-1]])
         if step % every:
-            rows *= boundary
+            rows *= joining
             continue
-        rows *= last_half
+        rows *= last
         snapshots.append(observe(rows, sectors=sectors))
         if step < cfg.steps:
-            rows *= first_half
+            rows *= first
     return snapshots
 
 

@@ -227,8 +227,8 @@ def sample_detections(
     bookkeeping: detected momentum plus recoil is exactly zero).
     """
     check_seed(seed)
-    if not isinstance(n_trials, numbers.Integral) or n_trials < 1:
-        raise ArgumentError(f"n_trials must be an integer >= 1, got {n_trials!r}")
+    if not isinstance(n_trials, numbers.Integral) or not 1 <= n_trials < 2**64:
+        raise ArgumentError(f"n_trials must be an integer >= 1 below 2^64, got {n_trials!r}")
     cdf = _lattice_cdf(dens)
     ps = _sample_lattice_p(dens, cdf, seed, np.arange(n_trials, dtype=np.uint64))
     recoil = -np.cumsum(ps)

@@ -47,6 +47,8 @@ class Grid:
         # a float n is refused before `&`, which would raise TypeError
         if not isinstance(self.n, numbers.Integral) or self.n < 8 or self.n & (self.n - 1):
             raise NonPowerOfTwo(f"n must be a power of two >= 8, got {self.n}")
+        if not math.isfinite(self.x0):
+            raise ArgumentError(f"x0 must be finite, got {self.x0}")
         # dx and dp can underflow to 0 or overflow to inf for extreme values
         if not (self.length > 0.0 and self.hbar > 0.0 and self.dx > 0.0
                 and 0.0 < self.dp < math.inf):

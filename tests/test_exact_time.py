@@ -30,6 +30,7 @@ from modlab import (
 )
 from modlab.errors import PhaseWrapWarning
 from modlab.evolve import (
+    SPLITTINGS,
     _from_sectors,
     _shear,
     _to_sectors,
@@ -99,7 +100,8 @@ def _two_particles():
 
 
 _SETUPS = {"one-particle": _one_particle, "two-particles": _two_particles}
-# (steps at the coarse dt, snapshot_every) over t in [0, 1.2]
+# (steps at the coarse dt, snapshot_every) over t in [0, 1.2]: every table in
+# SPLITTINGS needs an entry here and in _RATIO
 _COARSE = {"strang": (24, 4), "suzuki4": (12, 2)}
 _RATIO = {"strang": (3.8, 4.2), "suzuki4": (14.0, 18.0)}
 
@@ -131,7 +133,7 @@ def _errors(name, splitting):
     return t1_errors, (t12_error if state.rank == 2 else None)
 
 
-@pytest.mark.parametrize("splitting", sorted(_COARSE))
+@pytest.mark.parametrize("splitting", sorted(SPLITTINGS))
 @pytest.mark.parametrize("name", sorted(_SETUPS))
 def test_t1_error_falls_at_the_order_of_the_splitting(name, splitting):
     (coarse, fine), t12_error = _errors(name, splitting)
@@ -140,6 +142,15 @@ def test_t1_error_falls_at_the_order_of_the_splitting(name, splitting):
     assert fine > 1e-11  # far above roundoff, so the ratio measures the time step
     if t12_error is not None:
         assert t12_error < 1e-13
+
+
+@pytest.mark.parametrize("splitting", sorted(SPLITTINGS))
+def test_splitting_is_a_symmetric_table_of_kicks_and_drifts(splitting):
+    kicks, drifts = SPLITTINGS[splitting]
+    assert len(kicks) == len(drifts) + 1
+    for coefficients in (kicks, drifts):
+        assert coefficients == coefficients[::-1]
+        assert abs(math.fsum(coefficients) - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("factor, warns", [(1.001, True), (0.999, False)])

@@ -121,10 +121,23 @@ _GUARDS = {
         ArgumentError, "kind must be one of", lambda tmp: PotentialSpec(kind="cubic")),
     "potential-sampled-without-samples": (
         ArgumentError, "needs samples", lambda tmp: PotentialSpec(kind="sampled")),
+    "potential-inf-k-spring": (
+        ArgumentError, "k_spring must not be inf", lambda tmp: PotentialSpec.harmonic(math.inf)),
+    "potential-nan-height": (
+        ArgumentError, "height must not be nan",
+        lambda tmp: PotentialSpec.barrier(math.nan, -1.0, 1.0)),
+    "potential-nan-x-lo": (
+        ArgumentError, "x_lo must not be nan",
+        lambda tmp: PotentialSpec.barrier(2.0, math.nan, 1.0)),
+    "potential-nan-x-hi": (
+        ArgumentError, "x_hi must not be nan",
+        lambda tmp: PotentialSpec.barrier(2.0, -1.0, math.nan)),
     "grid-float-n": (
         NonPowerOfTwo, "n must be a power of two", lambda tmp: make_grid(16.0, 0.0, 8.0)),
     "grid-fractional-n": (
         NonPowerOfTwo, "n must be a power of two", lambda tmp: make_grid(8.5, 0.0, 8.0)),
+    "grid-nan-x0": (
+        ArgumentError, "x0 must be finite, got nan", lambda tmp: make_grid(128, math.nan, 16.0)),
     "product-state-grids-differ": (
         GridMismatch, "different grids",
         lambda tmp: product_state(_packet(_grid()), _packet(_grid(24.0)))),
@@ -171,6 +184,13 @@ _GUARDS = {
     "sample-detections-fractional-trials": (
         ArgumentError, "n_trials must be an integer",
         lambda tmp: sample_detections(_far_field(), 2.5, 0)),
+    # the trial keys are uint64; neither size is ever allocated
+    "sample-detections-2-to-the-64-trials": (
+        ArgumentError, "n_trials must be an integer >= 1 below 2\\^64",
+        lambda tmp: sample_detections(_far_field(), 2**64, 0)),
+    "sample-detections-2-to-the-70-trials": (
+        ArgumentError, "n_trials must be an integer >= 1 below 2\\^64",
+        lambda tmp: sample_detections(_far_field(), 2**70, 0)),
     "sample-detections-overflowing-density": (
         NonFiniteAmplitude, "cannot sample a non-finite density",
         lambda tmp: sample_detections(to_momentum(_overflowing_state()), 10, 0)),
@@ -383,6 +403,14 @@ def test_counts_accept_numpy_integers():
     assert weyl_moment(psi, MomentSpec(np.int64(2), np.int64(0))) > 0.0
     assert ellipse_check(1.0, 2.0, 1.0, samples=np.int64(16)) < 1e-12
     ScatterConfig(1.0, 10.0, (0.0,), np.int64(64))
+
+
+def test_infinite_barrier_bounds_stay_one_sided():
+    g = _grid()
+    left = PotentialSpec.barrier(2.0, -math.inf, 0.0).values(g)
+    right = PotentialSpec.barrier(2.0, 0.0, math.inf).values(g)
+    assert np.array_equal(left, np.where(g.x < 0.0, 2.0, 0.0))
+    assert np.array_equal(right, np.where(g.x >= 0.0, 2.0, 0.0))
 
 
 def test_numpy_integer_seeds_draw_as_python_ints():
